@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dec, forms, hodge, io, weitzenbock
 from .dec import InnerProductSpace, SolveConfig
-from .errors import ConvergenceError
+from .errors import ConfigError, ConvergenceError
 from .geometry import ball_mesh
 from .simplicial import apply_d, build_complex
 
@@ -98,7 +98,15 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_form(name: str, mesh, cx, stars, seed: int):
     if name.startswith("builtin:"):
         return forms.builtin_form(name.split(":", 1)[1], mesh, cx, stars, seed=seed)
-    return io.load_cochain(name, mesh)
+    form = io.load_cochain(name, mesh)
+    if form.degree != 1 or form.values.shape != (cx.num_edges,):
+        raise ConfigError(
+            f"cochain file {name} holds a degree-{form.degree} cochain of shape "
+            f"{form.values.shape}; expected a 1-cochain with {cx.num_edges} edge values"
+        )
+    if not np.all(np.isfinite(form.values)):
+        raise ConfigError(f"cochain file {name} has non-finite values")
+    return form
 
 
 def _base_report(args, mesh) -> dict:
@@ -144,9 +152,9 @@ def _cmd_decompose(args) -> int:
         {
             "space": args.space,
             "star_clamp_count": stars.clamp_count,
-            "beta": [float(x) for x in split.beta.values],
-            "omega": [float(x) for x in split.omega.values],
-            "gamma": [float(x) for x in split.gamma.values],
+            "beta": split.beta.values.tolist(),
+            "omega": split.omega.values.tolist(),
+            "gamma": split.gamma.values.tolist(),
             "diagnostics": {
                 "norm_alpha": d.norm_alpha,
                 "norm_exact": d.norm_exact,
@@ -189,8 +197,8 @@ def _cmd_stream(args) -> int:
     report = _base_report(args, mesh)
     report.update(
         {
-            "f": [float(x) for x in result.f],
-            "omega": [float(x) for x in result.omega.values],
+            "f": result.f.tolist(),
+            "omega": result.omega.values.tolist(),
             "residual": result.residual,
             "path_defect": result.path_defect,
         }

@@ -111,7 +111,6 @@ class SolveConfig:
 
     tolerance: float = 1e-10
     max_iterations: Optional[int] = None
-    deterministic: bool = True
 
 
 @dataclass
@@ -122,16 +121,8 @@ class SolveResult:
 
 
 def _face_corner_geometry(cx: SimplicialComplex, edge_lengths: np.ndarray):
-    """Intrinsic per-face data: edge ids, opposite corner cosines, areas."""
-    faces = cx.faces
-    edge_index = {(int(i), int(j)): e for e, (i, j) in enumerate(cx.edges)}
-    f_edges = np.empty((cx.num_faces, 3), dtype=np.int64)
-    for f, (u, v, w) in enumerate(faces):
-        # edge opposite corner 0 is (v, w), etc.
-        f_edges[f, 0] = edge_index[(min(v, w), max(v, w))]
-        f_edges[f, 1] = edge_index[(min(u, w), max(u, w))]
-        f_edges[f, 2] = edge_index[(min(u, v), max(u, v))]
-    L = edge_lengths[f_edges]  # (F, 3), L[:, c] opposite corner c
+    """Intrinsic per-face data: opposite edge lengths, corner cosines, areas."""
+    L = edge_lengths[cx.face_edges]  # (F, 3), L[:, c] opposite corner c
     l0, l1, l2 = L[:, 0], L[:, 1], L[:, 2]
     s = (l0 + l1 + l2) / 2.0
     areas = np.sqrt(np.maximum(s * (s - l0) * (s - l1) * (s - l2), 0.0))
@@ -140,7 +131,7 @@ def _face_corner_geometry(cx: SimplicialComplex, edge_lengths: np.ndarray):
     cos[:, 1] = (l0**2 + l2**2 - l1**2) / (2 * l0 * l2)
     cos[:, 2] = (l0**2 + l1**2 - l2**2) / (2 * l0 * l1)
     np.clip(cos, -1.0, 1.0, out=cos)
-    return f_edges, L, cos, areas
+    return L, cos, areas
 
 
 def assemble_stars(mesh: TriMesh, cx: SimplicialComplex) -> StarWeights:
@@ -153,7 +144,7 @@ def assemble_stars(mesh: TriMesh, cx: SimplicialComplex) -> StarWeights:
     edge_lengths = pairwise_distances(
         mesh.vertices[cx.edges[:, 0]], mesh.vertices[cx.edges[:, 1]], mesh.curvature
     )
-    f_edges, L, cos, areas = _face_corner_geometry(cx, edge_lengths)
+    L, cos, areas = _face_corner_geometry(cx, edge_lengths)
     if np.any(areas <= 0.0):
         raise MeshQualityError("degenerate face with non-positive intrinsic area")
 
@@ -164,7 +155,7 @@ def assemble_stars(mesh: TriMesh, cx: SimplicialComplex) -> StarWeights:
         raise MeshQualityError("degenerate corner angle in intrinsic triangle")
 
     star1 = np.zeros(cx.num_edges)
-    np.add.at(star1, f_edges.reshape(-1), 0.5 * cot.reshape(-1))
+    np.add.at(star1, cx.face_edges.reshape(-1), 0.5 * cot.reshape(-1))
 
     star0 = np.zeros(cx.num_vertices)
     obtuse = cos < 0.0
@@ -286,7 +277,6 @@ def solve_spd(
     A: sp.spmatrix,
     b: np.ndarray,
     cfg: Optional[SolveConfig] = None,
-    x0: Optional[np.ndarray] = None,
     residual_floor: float = 0.0,
 ) -> SolveResult:
     """Jacobi-preconditioned conjugate gradients for SPD systems.
@@ -312,12 +302,8 @@ def solve_spd(
         raise ValueError("matrix has a non-positive diagonal entry; not SPD")
     inv_diag = 1.0 / diag
 
-    if x0 is None:
-        x = np.zeros(n)
-        r = b.copy()
-    else:
-        x = np.array(x0, dtype=float)
-        r = b - A @ x
+    x = np.zeros(n)
+    r = b.copy()
     z = inv_diag * r
     p = z.copy()
     rz = float(np.dot(r, z))

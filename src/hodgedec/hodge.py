@@ -1,9 +1,9 @@
 """Three-way splits of 1-cochains, harmonicity diagnostics, stream functions,
 and the cutoff truncation experiment.
 
-`decompose` minimizes |alpha - d beta - delta omega| in the chosen inner
-product over potentials supported away from the boundary collar, through the
-joint block Gram system; the remainder gamma is the discrete harmonic part.
+`decompose` minimizes |alpha - d beta - delta omega| in L2 over potentials
+supported away from the boundary collar; with such potentials the L2 and H1
+minimizers coincide, and the remainder gamma is the discrete harmonic part.
 `stream_function` constructively realizes co-closed fields as delta of an
 interior 2-cochain by integrating over a dual spanning tree.
 """
@@ -42,7 +42,7 @@ class SplitDiagnostics:
     norm_exact: float  # |d beta|
     norm_coexact: float  # |delta omega|
     norm_gamma: float
-    reconstruction_residual: float  # |alpha - d beta - delta omega - gamma| / |alpha|
+    reconstruction_residual: float  # L2 optimality of gamma, see _optimality_terms
     ortho_exact_coexact: float  # <d beta, delta omega> in the space
     ortho_exact_harmonic: float
     ortho_coexact_harmonic: float
@@ -121,6 +121,27 @@ def _metric_matrix(
     return ((1.0 + c) * s1 + curl_part + div_part).tocsr()
 
 
+def _potential_maps(cx: SimplicialComplex, stars: StarWeights):
+    """Interior vertex and face indices vi, fi with P = d0[:, vi], Q = delta_2[:, fi]."""
+    vi = np.flatnonzero(cx.interior_vertices)
+    fi = np.flatnonzero(cx.interior_faces)
+    if vi.size == 0 or fi.size == 0:
+        raise ConfigError("degenerate mesh: no interior vertices or faces to carry potentials")
+    P = cx.d0.tocsc()[:, vi].tocsr()
+    Q = dec.codifferential_matrix(2, cx, stars).tocsc()[:, fi].tocsr()
+    return vi, fi, P, Q
+
+
+def _optimality_terms(x: np.ndarray, P, Q, star1: np.ndarray) -> np.ndarray:
+    """Norms of P^T star1 x and Q^T star1 x.
+
+    Both vanish at x = gamma for the exact L2 split. Given |alpha|, |P| and |Q|
+    they are the cancellation-aware sizes of the right-hand sides.
+    """
+    w = star1 * x
+    return np.array([np.linalg.norm(P.T @ w), np.linalg.norm(Q.T @ w)])
+
+
 def decompose(
     alpha: Cochain,
     space: InnerProductSpace,
@@ -131,76 +152,47 @@ def decompose(
 ) -> HodgeSplit:
     """Split a 1-cochain into exact, co-exact and harmonic parts.
 
-    Solves the joint least-squares problem over interior potentials via the
-    block normal equations, assembled sparsely and solved by preconditioned
-    conjugate gradients; gamma is the remainder. All orthogonality and
-    reconstruction diagnostics are recomputed from the returned components.
+    Solves the L2 least-squares problem over interior potentials by conjugate
+    gradients on the two decoupled block normal equations; gamma is the
+    remainder. L2 optimality makes gamma closed and co-closed on the interior,
+    which cancels every H1 cross term, so this is also the H1 split: `space`
+    only selects the inner product of the diagnostics.
     """
     if alpha.degree != 1 or space.degree != 1:
         raise DegreeError("decompose works on degree-1 cochains")
     if cfg is None:
         cfg = SolveConfig()
 
-    vi = np.flatnonzero(cx.interior_vertices)
-    fi = np.flatnonzero(cx.interior_faces)
-    if vi.size == 0 or fi.size == 0:
-        raise ConfigError("degenerate mesh: no interior vertices or faces to carry potentials")
-
-    P = cx.d0.tocsc()[:, vi].tocsr()
-    delta2 = dec.codifferential_matrix(2, cx, stars)
-    Q = delta2.tocsc()[:, fi].tocsr()
-
-    M = _metric_matrix(space, cx, stars)
-    MP = (M @ P).tocsc()
-    MQ = (M @ Q).tocsc()
+    vi, fi, P, Q = _potential_maps(cx, stars)
+    s1 = sp.diags(stars.star1).tocsr()
+    s1_alpha = s1 @ alpha.values
     # the analytic cross Gram P^T M Q vanishes identically (d after d is zero);
     # its assembled magnitude is reported as a mesh-quality / roundoff metric
-    cross = P.T @ MQ
+    cross = P.T @ (_metric_matrix(space, cx, stars) @ Q).tocsc()
     cross_block_max = float(np.abs(cross.data).max()) if cross.nnz else 0.0
 
-    # cancellation-aware absolute scale for the normal-equation residuals:
-    # the assembled right-hand sides can be tiny relative to their ingredients
-    # (e.g. for inputs already orthogonal to the ranges), and a purely
-    # rhs-relative stop would then demand sub-roundoff accuracy
-    abs_M = M.copy()
-    abs_M.data = np.abs(abs_M.data)
-    abs_alpha = np.abs(alpha.values)
-    roundoff = 100.0 * np.finfo(float).eps
-    floor_b = roundoff * float(np.linalg.norm(np.abs(P).T @ (abs_M @ abs_alpha)))
-    floor_w = roundoff * float(np.linalg.norm(np.abs(Q).T @ (abs_M @ abs_alpha)))
-
-    # the blocks decouple exactly, so the joint normal equations split in two;
-    # the H1 solves warm-start from the far better conditioned L2 ones (both
-    # metrics recover the same unique direct-sum split)
-    x0_b = x0_w = None
-    if space.tag == "h1":
-        s1 = sp.diags(stars.star1).tocsr()
-        l2_cfg = SolveConfig(min(1e-8, cfg.tolerance * 100), cfg.max_iterations, cfg.deterministic)
-        x0_b = dec.solve_spd(
-            (P.T @ s1 @ P).tocsr(), P.T @ (s1 @ alpha.values), l2_cfg, residual_floor=floor_b
-        ).x
-        x0_w = dec.solve_spd(
-            (Q.T @ s1 @ Q).tocsr(), Q.T @ (s1 @ alpha.values), l2_cfg, residual_floor=floor_w
-        ).x
+    # the right-hand sides can be tiny relative to their ingredients, and a
+    # purely rhs-relative stop would then demand sub-roundoff accuracy
+    scales = np.maximum(
+        _optimality_terms(np.abs(alpha.values), abs(P), abs(Q), stars.star1), np.finfo(float).tiny
+    )
+    floors = 100.0 * np.finfo(float).eps * scales
     sol_b = dec.solve_spd(
-        (P.T @ MP).tocsr(), P.T @ (M @ alpha.values), cfg, x0=x0_b, residual_floor=floor_b
+        (P.T @ (s1 @ P).tocsc()).tocsr(), P.T @ s1_alpha, cfg, residual_floor=floors[0]
     )
     sol_w = dec.solve_spd(
-        (Q.T @ MQ).tocsr(), Q.T @ (M @ alpha.values), cfg, x0=x0_w, residual_floor=floor_w
+        (Q.T @ (s1 @ Q).tocsc()).tocsr(), Q.T @ s1_alpha, cfg, residual_floor=floors[1]
     )
     beta = np.zeros(cx.num_vertices)
     beta[vi] = sol_b.x
     omega = np.zeros(cx.num_faces)
     omega[fi] = sol_w.x
 
-    d_beta = Cochain(1, cx.d0 @ beta)
-    delta_omega = Cochain(1, delta2 @ omega)
+    d_beta = Cochain(1, P @ sol_b.x)
+    delta_omega = Cochain(1, Q @ sol_w.x)
     gamma = Cochain(1, alpha.values - d_beta.values - delta_omega.values)
 
     norm_alpha = dec.norm(alpha, space, cx, stars)
-    recon = Cochain(1, alpha.values - d_beta.values - delta_omega.values - gamma.values)
-    scale = max(norm_alpha, np.finfo(float).tiny)
-
     norms_sq = [
         dec.inner(w, w, space, cx, stars) for w in (d_beta, delta_omega, gamma)
     ]
@@ -210,7 +202,9 @@ def decompose(
         norm_exact=float(np.sqrt(max(norms_sq[0], 0.0))),
         norm_coexact=float(np.sqrt(max(norms_sq[1], 0.0))),
         norm_gamma=float(np.sqrt(max(norms_sq[2], 0.0))),
-        reconstruction_residual=dec.norm(recon, space, cx, stars) / scale,
+        reconstruction_residual=float(
+            np.max(_optimality_terms(gamma.values, P, Q, stars.star1) / scales)
+        ),
         ortho_exact_coexact=dec.inner(d_beta, delta_omega, space, cx, stars),
         ortho_exact_harmonic=dec.inner(d_beta, gamma, space, cx, stars),
         ortho_coexact_harmonic=dec.inner(delta_omega, gamma, space, cx, stars),

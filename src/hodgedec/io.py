@@ -35,8 +35,8 @@ def _canonical_dumps(obj) -> str:
 def mesh_checksum(mesh: TriMesh) -> str:
     payload = {
         "curvature": float(mesh.curvature),
-        "vertices": [[float(x), float(y)] for x, y in mesh.vertices],
-        "triangles": [[int(i), int(j), int(k)] for i, j, k in mesh.triangles],
+        "vertices": mesh.vertices.tolist(),
+        "triangles": mesh.triangles.tolist(),
     }
     return hashlib.sha256(_canonical_dumps(payload).encode()).hexdigest()
 
@@ -53,8 +53,8 @@ def save_mesh(mesh: TriMesh, path) -> None:
     save_json(
         {
             "curvature": float(mesh.curvature),
-            "vertices": [[float(x), float(y)] for x, y in mesh.vertices],
-            "triangles": [[int(i), int(j), int(k)] for i, j, k in mesh.triangles],
+            "vertices": mesh.vertices.tolist(),
+            "triangles": mesh.triangles.tolist(),
             "provenance": mesh.provenance,
         },
         path,

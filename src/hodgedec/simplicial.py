@@ -48,6 +48,7 @@ class SimplicialComplex:
     num_vertices: int
     edges: np.ndarray  # (E, 2), each row (i, j) with i < j
     faces: np.ndarray  # (F, 3), counterclockwise triples
+    face_edges: np.ndarray  # (F, 3), column c is the edge opposite corner c
     d0: sp.csr_matrix
     d1: sp.csr_matrix
     boundary_vertices: np.ndarray  # bool (V,)
@@ -88,13 +89,15 @@ def build_complex(mesh: "TriMesh") -> SimplicialComplex:
         raise TopologyError("triangle with a repeated vertex")
 
     directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    sorted_pairs = np.sort(directed, axis=1)
-    edges, inverse, counts = np.unique(
-        sorted_pairs, axis=0, return_inverse=True, return_counts=True
-    )
-    inverse = inverse.reshape(-1)
+    lo = directed.min(axis=1)
+    hi = directed.max(axis=1)
+    # the key lo * V + hi sorts like the pair (lo, hi), so edges stay lexicographic
+    keys, inverse, counts = np.unique(lo * num_v + hi, return_inverse=True, return_counts=True)
+    edges = np.stack([keys // num_v, keys % num_v], axis=1)
     num_e = edges.shape[0]
     num_f = faces.shape[0]
+    # rows of `directed` hold the sides (0, 1), (1, 2), (2, 0) of every face in turn
+    face_edges = inverse.reshape(3, num_f).T[:, [1, 2, 0]]
 
     if np.any(counts > 2):
         bad = edges[np.argmax(counts)]
@@ -127,12 +130,14 @@ def build_complex(mesh: "TriMesh") -> SimplicialComplex:
     )
 
     edges.setflags(write=False)
+    face_edges.setflags(write=False)
     faces_ro = faces.copy()
     faces_ro.setflags(write=False)
     return SimplicialComplex(
         num_vertices=num_v,
         edges=edges,
         faces=faces_ro,
+        face_edges=face_edges,
         d0=d0,
         d1=d1,
         boundary_vertices=boundary_vertices,

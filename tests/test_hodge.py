@@ -6,7 +6,7 @@ from hodgedec import dec
 from hodgedec.dec import InnerProductSpace, SolveConfig
 from hodgedec.errors import ConfigError, DomainError, PreconditionError
 from hodgedec.forms import builtin_form, coordinate_form
-from hodgedec.hodge import _interior_l2_norm
+from hodgedec.hodge import _interior_l2_norm, _optimality_terms, _potential_maps
 from hodgedec.simplicial import Cochain
 
 
@@ -142,15 +142,33 @@ class TestDecompose:
 
     def test_l2_and_h1_splits_coincide(self, discretize):
         # the interior potentials and the interior-harmonic remainder form a
-        # direct sum, so the split does not depend on the chosen metric
+        # direct sum, so the split does not depend on the chosen metric; the
+        # one solve path returns the same bits for both
         mesh, cx, stars = discretize(1.0, 1.5, 0.15)
         alpha = builtin_form("mixed", mesh, cx, stars, seed=5)
         cfg = SolveConfig(tolerance=1e-12)
-        g_l2 = hd.decompose(alpha, InnerProductSpace("l2", 1, 1.0), mesh, cx, stars, cfg).gamma
-        g_h1 = hd.decompose(alpha, InnerProductSpace("h1", 1, 1.0), mesh, cx, stars, cfg).gamma
-        l2 = InnerProductSpace("l2", 1, 1.0)
-        rel = dec.norm(Cochain(1, g_l2.values - g_h1.values), l2, cx, stars)
-        assert rel <= 1e-6 * dec.norm(g_l2, l2, cx, stars)
+        s_l2 = hd.decompose(alpha, InnerProductSpace("l2", 1, 1.0), mesh, cx, stars, cfg)
+        s_h1 = hd.decompose(alpha, InnerProductSpace("h1", 1, 1.0), mesh, cx, stars, cfg)
+        for part in ("beta", "omega", "gamma"):
+            np.testing.assert_array_equal(getattr(s_l2, part).values, getattr(s_h1, part).values)
+        assert s_l2.diagnostics.iterations == s_h1.diagnostics.iterations
+
+    def test_reconstruction_residual_detects_perturbed_gamma(self, discretize):
+        mesh, cx, stars = discretize(1.0, 1.0, 0.2)
+        alpha = builtin_form("mixed", mesh, cx, stars, seed=5)
+        split = hd.decompose(alpha, InnerProductSpace("l2", 1, 1.0), mesh, cx, stars)
+        _, _, P, Q = _potential_maps(cx, stars)
+        scales = _optimality_terms(np.abs(alpha.values), abs(P), abs(Q), stars.star1)
+
+        def residual(gamma):
+            return float(np.max(_optimality_terms(gamma, P, Q, stars.star1) / scales))
+
+        assert residual(split.gamma.values) == split.diagnostics.reconstruction_residual <= 1e-9
+        bump = 1e-6 * np.abs(alpha.values).max()
+        for e in np.flatnonzero(cx.interior_edges)[::7]:
+            gamma = split.gamma.values.copy()
+            gamma[e] += bump
+            assert residual(gamma) > 1e-8
 
     def test_gamma_interior_harmonic_by_optimality(self, discretize):
         mesh, cx, stars = discretize(1.0, 1.5, 0.15)

@@ -9,6 +9,8 @@ from hodgedec.cli import main
 from hodgedec.errors import ChecksumError
 from hodgedec.simplicial import Cochain
 
+from conftest import make_lattice_mesh
+
 
 @pytest.fixture()
 def small_mesh(tmp_path, discretize):
@@ -45,6 +47,17 @@ class TestFiles:
         with pytest.raises(ChecksumError):
             io.load_cochain(path, other)
 
+    def test_checksum_pinned(self):
+        # cochain files carry this digest; it must not change with the encoder
+        flat = make_lattice_mesh()
+        curved = hd.TriMesh(0.5 * flat.vertices, flat.triangles, 0.75)
+        assert io.mesh_checksum(flat) == (
+            "c2cd7e33344d95a2ea5fd0cbcccaac3939eb9ab9b50323e11d6cffa709cf3e70"
+        )
+        assert io.mesh_checksum(curved) == (
+            "aad33aefbc83c1fa97f06abf8d7e0d36240c840c7d87c3e5785d15edb8cb1863"
+        )
+
 
 class TestCli:
     def test_mesh_then_decompose_then_stream(self, tmp_path):
@@ -62,6 +75,25 @@ class TestCli:
                      "--seed", "2", "--out", str(stream_path)]) == 0
         stream = json.loads(stream_path.read_text())
         assert stream["residual"] <= 1e-10
+
+    @pytest.mark.parametrize("command", ["decompose", "stream"])
+    @pytest.mark.parametrize("defect", ["nan", "short", "degree"])
+    def test_malformed_cochain_is_validation_error(self, small_mesh, tmp_path, command, defect):
+        mesh, cx, stars, path = small_mesh
+        values = hd.builtin_form("coexact", mesh, cx, stars, seed=2).values.copy()
+        degree = 1
+        if defect == "nan":
+            values[np.flatnonzero(cx.interior_edges)[0]] = np.nan
+        elif defect == "short":
+            values = values[:-1]
+        else:
+            degree, values = 2, np.zeros(cx.num_faces)
+        form_path = tmp_path / "form.json"
+        io.save_cochain(Cochain(degree, values), mesh, form_path)
+        out = tmp_path / "out.json"
+        argv = [command, "--mesh", str(path), "--form", str(form_path), "--out", str(out)]
+        assert main(argv) == 1
+        assert not out.exists()
 
     def test_verify_tensor_passes(self, tmp_path, capsys):
         out = tmp_path / "verify.json"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,6 +45,35 @@ class TestBuildComplex:
     def test_edge_canonical_orientation(self, discretize):
         _, cx, _ = discretize(0.0, 1.0, 0.2)
         assert np.all(cx.edges[:, 0] < cx.edges[:, 1])
+
+    def test_face_edges_join_the_other_two_corners(self, discretize):
+        for cx in (hd.build_complex(make_lattice_mesh()), discretize(1.0, 1.0, 0.2)[1]):
+            assert cx.face_edges.shape == (cx.num_faces, 3)
+            for f, tri in enumerate(cx.faces):
+                for c in range(3):
+                    u, v = np.delete(tri, c)
+                    assert tuple(cx.edges[cx.face_edges[f, c]]) == (min(u, v), max(u, v))
+
+    def test_matches_axis_unique_reference(self, discretize):
+        # reference: edges as unique sorted vertex pairs, np.unique(axis=0)
+        for mesh in (make_lattice_mesh(), discretize(1.0, 2.0, 0.2)[0]):
+            cx = hd.build_complex(mesh)
+            faces = mesh.triangles
+            directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+            edges, inverse = np.unique(np.sort(directed, axis=1), axis=0, return_inverse=True)
+            num_e, num_f = edges.shape[0], faces.shape[0]
+            d0 = sp.csr_matrix(
+                (np.tile([-1, 1], num_e), (np.repeat(np.arange(num_e), 2), edges.reshape(-1))),
+                shape=(num_e, mesh.num_vertices),
+            )
+            signs = np.where(directed[:, 0] < directed[:, 1], 1, -1)
+            d1 = sp.csr_matrix(
+                (signs, (np.tile(np.arange(num_f), 3), inverse.reshape(-1))), shape=(num_f, num_e)
+            )
+            np.testing.assert_array_equal(cx.edges, edges)
+            for ours, ref in ((cx.d0, d0), (cx.d1, d1)):
+                for attr in ("indptr", "indices", "data"):
+                    np.testing.assert_array_equal(getattr(ours, attr), getattr(ref, attr))
 
     def test_nonmanifold_rejected(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, -1.0], [0.5, 2.0]])
