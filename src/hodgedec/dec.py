@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConvergenceError, DegreeError, MeshQualityError
-from .geometry import TriMesh, pairwise_distances
+from .geometry import TriMesh, corner_cosines, heron_area, pairwise_distances
 from .simplicial import Cochain, SimplicialComplex
 
 __all__ = [
@@ -120,20 +120,6 @@ class SolveResult:
     residual: float
 
 
-def _face_corner_geometry(cx: SimplicialComplex, edge_lengths: np.ndarray):
-    """Intrinsic per-face data: opposite edge lengths, corner cosines, areas."""
-    L = edge_lengths[cx.face_edges]  # (F, 3), L[:, c] opposite corner c
-    l0, l1, l2 = L[:, 0], L[:, 1], L[:, 2]
-    s = (l0 + l1 + l2) / 2.0
-    areas = np.sqrt(np.maximum(s * (s - l0) * (s - l1) * (s - l2), 0.0))
-    cos = np.empty_like(L)
-    cos[:, 0] = (l1**2 + l2**2 - l0**2) / (2 * l1 * l2)
-    cos[:, 1] = (l0**2 + l2**2 - l1**2) / (2 * l0 * l2)
-    cos[:, 2] = (l0**2 + l1**2 - l2**2) / (2 * l0 * l1)
-    np.clip(cos, -1.0, 1.0, out=cos)
-    return L, cos, areas
-
-
 def assemble_stars(mesh: TriMesh, cx: SimplicialComplex) -> StarWeights:
     """Diagonal Hodge stars via intrinsic cotangents and mixed Voronoi areas.
 
@@ -144,7 +130,9 @@ def assemble_stars(mesh: TriMesh, cx: SimplicialComplex) -> StarWeights:
     edge_lengths = pairwise_distances(
         mesh.vertices[cx.edges[:, 0]], mesh.vertices[cx.edges[:, 1]], mesh.curvature
     )
-    L, cos, areas = _face_corner_geometry(cx, edge_lengths)
+    L = edge_lengths[cx.face_edges]  # (F, 3), L[:, c] opposite corner c
+    cos = corner_cosines(L)
+    areas = heron_area(L[:, 0], L[:, 1], L[:, 2])
     if np.any(areas <= 0.0):
         raise MeshQualityError("degenerate face with non-positive intrinsic area")
 

@@ -8,6 +8,8 @@ dimensionless model coordinates while lengths carry the 1/a scale.
 from __future__ import annotations
 
 import math
+from array import array
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -54,6 +56,8 @@ class TriMesh:
             raise ConfigError("vertices must be an (V, 2) array")
         if t.ndim != 2 or t.shape[1] != 3:
             raise ConfigError("triangles must be an (F, 3) array")
+        if not (math.isfinite(self.curvature) and np.all(np.isfinite(v))):
+            raise ConfigError("curvature and vertices must be finite")
         if self.curvature < 0:
             raise DomainError("curvature parameter a must be >= 0")
         if self.curvature > 0 and np.any(np.sum(v * v, axis=1) >= 1.0):
@@ -70,6 +74,13 @@ class TriMesh:
     @property
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
+
+
+# the vertex cap of ball_mesh, checked before anything is allocated
+MAX_VERTICES = 1_000_000
+# fixed irrational twist per ring: breaks the reflection symmetries that can
+# make zigzag quads exactly cocircular (zero cotangent star weights)
+_TWIST = 0.6180339887498949
 
 
 def _as_complex(points) -> np.ndarray:
@@ -119,7 +130,8 @@ def model_radius(rho: float, a: float) -> float:
     return math.tanh(a * rho / 2.0)
 
 
-def _triangle_areas_flat(l1, l2, l3):
+def heron_area(l1, l2, l3):
+    """Areas of flat triangles from their side lengths (Heron's formula)."""
     s = (l1 + l2 + l3) / 2.0
     return np.sqrt(np.maximum(s * (s - l1) * (s - l2) * (s - l3), 0.0))
 
@@ -150,107 +162,126 @@ def triangle_area(l1: float, l2: float, l3: float, a: float) -> float:
     if sides[0] + sides[1] < sides[2]:
         raise DomainError("triangle inequality violated")
     if a == 0.0:
-        return float(_triangle_areas_flat(l1, l2, l3))
+        return float(heron_area(l1, l2, l3))
     return float(_triangle_areas_hyperbolic(l1, l2, l3, a))
+
+
+def edge_table(triangles: np.ndarray, num_vertices: int):
+    """Undirected edges of a triangle list: (edges, face_edges, counts).
+
+    edges (E, 2) has lo < hi in lexicographic order, because the key lo * V + hi
+    sorts like the pair; column c of face_edges (F, 3) is the edge opposite
+    corner c; counts is the number of faces on each edge.
+    """
+    t = np.asarray(triangles, dtype=np.int64)
+    b, c = t[:, [1, 2, 0]], t[:, [2, 0, 1]]  # the side opposite corner k runs b -> c
+    keys, inverse, counts = np.unique(
+        np.minimum(b, c) * num_vertices + np.maximum(b, c), return_inverse=True, return_counts=True
+    )
+    edges = np.stack([keys // num_vertices, keys % num_vertices], axis=1)
+    return edges, inverse.reshape(t.shape), counts
 
 
 def mesh_edge_lengths(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     """Undirected edge list (sorted pairs, lexicographic) and geodesic lengths."""
-    t = mesh.triangles
-    pairs = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    pairs = np.sort(pairs, axis=1)
-    edges = np.unique(pairs, axis=0)
-    lengths = pairwise_distances(
-        mesh.vertices[edges[:, 0]], mesh.vertices[edges[:, 1]], mesh.curvature
-    )
-    return edges, lengths
+    edges, _, _ = edge_table(mesh.triangles, mesh.num_vertices)
+    v = mesh.vertices
+    return edges, pairwise_distances(v[edges[:, 0]], v[edges[:, 1]], mesh.curvature)
+
+
+def law_of_cosines(opposite, b, c):
+    """Unclipped cosine of the corner between sides b and c, facing `opposite`.
+
+    One operation order for arrays and floats, so both agree to the bit.
+    """
+    return (b * b + c * c - opposite * opposite) / (2 * b * c)
+
+
+def corner_cosines(L: np.ndarray) -> np.ndarray:
+    """Clipped corner cosines of intrinsic triangles; L[:, c] is opposite corner c."""
+    return np.clip(law_of_cosines(L, L[:, [1, 2, 0]], L[:, [2, 0, 1]]), -1.0, 1.0)
 
 
 def mesh_area(mesh: TriMesh) -> float:
     """Total geodesic area, as the sum of geodesic triangle areas."""
-    v = mesh.vertices
-    t = mesh.triangles
-    a = mesh.curvature
+    v, t, a = mesh.vertices, mesh.triangles, mesh.curvature
     l1 = pairwise_distances(v[t[:, 1]], v[t[:, 2]], a)
     l2 = pairwise_distances(v[t[:, 0]], v[t[:, 2]], a)
     l3 = pairwise_distances(v[t[:, 0]], v[t[:, 1]], a)
     if a == 0.0:
-        return float(np.sum(_triangle_areas_flat(l1, l2, l3)))
+        return float(np.sum(heron_area(l1, l2, l3)))
     return float(np.sum(_triangle_areas_hyperbolic(l1, l2, l3, a)))
 
 
-def _ring_sizes(a: float, h: float, n_rings: int) -> list[int]:
-    sizes = []
-    for i in range(1, n_rings + 1):
+def _ring_sizes(a: float, rho_max: float, h: float) -> list[int]:
+    """Vertex count of each ring; ConfigError before any placement past MAX_VERTICES.
+
+    Rings hold at least 6 vertices each, and past a * r = 50 one ring alone
+    holds more than 2*pi*sinh(50)/50 > 1e20, so sinh never overflows.
+    """
+    too_big = ConfigError(f"the ball would have more than {MAX_VERTICES} vertices; use a "
+                          "larger edge length, a smaller radius or a smaller curvature")
+    if rho_max / h > MAX_VERTICES / 6:
+        raise too_big
+    sizes, total = [], 1
+    for i in range(1, round(rho_max / h) + 1):
         if a == 0.0:
             m = round(2.0 * math.pi * i)
+        elif a * i * h > 50.0:
+            raise too_big
         else:
             m = round(2.0 * math.pi * math.sinh(a * i * h) / (a * h))
+        total += m
+        if total > MAX_VERTICES:
+            raise too_big
         sizes.append(int(m))
     return sizes
 
 
-def _stitch_rings(
-    inner: np.ndarray,
-    outer: np.ndarray,
-    inner_start: float,
-    outer_start: float,
-) -> list[tuple[int, int, int]]:
+def _place_rings(a: float, h: float, sizes: list[int]) -> np.ndarray:
+    """The center, then ring i at geodesic radius i*h, uniform in angle."""
+    points = [np.zeros((1, 2))]
+    for i, m in enumerate(sizes, start=1):
+        r = model_radius(i * h, a)
+        theta = 2.0 * np.pi * np.arange(m) / m + _TWIST * i
+        points.append(np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1))
+    return np.concatenate(points)
+
+
+def _stitch_rings(inner, outer, inner_start: float, outer_start: float) -> np.ndarray:
     """Zigzag triangulation of the annulus between two angle-ordered rings.
 
     Rings are uniform in angle but may start at different phases; the outer
     traversal begins at the vertex angularly closest above the inner start.
+    The zigzag merges the angles at which the two rings advance, inner first
+    on ties: inner step i follows the outer steps of smaller angle, outer step
+    j the inner steps of angle at most its own.
     """
     m, big = len(inner), len(outer)
     step_i = 2.0 * math.pi / m
     step_j = 2.0 * math.pi / big
     offsets = np.mod(outer_start + step_j * np.arange(big) - inner_start, 2.0 * math.pi)
     j0 = int(np.argmin(offsets))
-    phi0 = float(offsets[j0])
-    tris = []
-    i = j = 0
-    while i < m or j < big:
-        if i < m and j < big:
-            advance_inner = (i + 1) * step_i <= phi0 + (j + 1) * step_j
-        else:
-            advance_inner = i < m
-        oj = outer[(j0 + j) % big]
-        if advance_inner:
-            tris.append((inner[i % m], oj, inner[(i + 1) % m]))
-            i += 1
-        else:
-            tris.append((inner[i % m], oj, outer[(j0 + j + 1) % big]))
-            j += 1
+    i, j = np.arange(m), np.arange(big)
+    ti, tj = (i + 1) * step_i, float(offsets[j0]) + (j + 1) * step_j
+    ji, ij = np.searchsorted(tj, ti, side="left"), np.searchsorted(ti, tj, side="right")
+    tris = np.empty((m + big, 3), dtype=np.int64)
+    tris[i + ji] = np.stack([inner, outer[(j0 + ji) % big], inner[(i + 1) % m]], axis=1)
+    tris[j + ij] = np.stack([inner[ij % m], outer[(j0 + j) % big], outer[(j0 + j + 1) % big]], axis=1)
     return tris
 
 
-def _intrinsic_cot_sums(vertices: np.ndarray, tris: np.ndarray, a: float):
-    """Per-edge cotangent sums of the opposite intrinsic angles (vectorized)."""
-    pairs = np.concatenate([tris[:, [1, 2]], tris[:, [0, 2]], tris[:, [0, 1]]])
-    opp = np.sort(pairs, axis=1)
-    edges, inverse = np.unique(opp, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)
-    L = pairwise_distances(vertices[opp[:, 0]], vertices[opp[:, 1]], a).reshape(3, -1).T
-    l0, l1, l2 = L[:, 0], L[:, 1], L[:, 2]
-    cos = np.empty_like(L)
-    cos[:, 0] = (l1**2 + l2**2 - l0**2) / (2 * l1 * l2)
-    cos[:, 1] = (l0**2 + l2**2 - l1**2) / (2 * l0 * l2)
-    cos[:, 2] = (l0**2 + l1**2 - l2**2) / (2 * l0 * l1)
-    np.clip(cos, -1.0, 1.0, out=cos)
+def _cot_sums(lengths: np.ndarray, face_edges: np.ndarray) -> np.ndarray:
+    """Per-edge sums of the cotangents of the opposite intrinsic angles."""
+    cos = corner_cosines(lengths[face_edges])
     cot = cos / np.sqrt(np.maximum(1.0 - cos * cos, 1e-300))
-    sums = np.zeros(edges.shape[0])
-    np.add.at(sums, inverse, cot.T.reshape(-1))
-    return edges, sums
+    return np.bincount(face_edges.reshape(-1), weights=cot.reshape(-1), minlength=lengths.shape[0])
 
 
-def _edge_cot(vertices, a, u, v, p) -> float:
-    """Cotangent of the intrinsic angle at p opposite edge (u, v)."""
-    lu = distance(vertices[u], vertices[p], a)
-    lv = distance(vertices[v], vertices[p], a)
-    le = distance(vertices[u], vertices[v], a)
-    c = (lu * lu + lv * lv - le * le) / (2 * lu * lv)
-    c = min(1.0, max(-1.0, c))
-    return c / math.sqrt(max(1.0 - c * c, 1e-300))
+def _cot(opposite: float, b: float, c: float) -> float:
+    """Scalar twin of one `_cot_sums` term: the cotangent of the corner facing `opposite`."""
+    x = min(1.0, max(-1.0, law_of_cosines(opposite, b, c)))
+    return x / math.sqrt(max(1.0 - x * x, 1e-300))
 
 
 def _ccw(vertices, i, j, k) -> bool:
@@ -262,75 +293,75 @@ def _flip_to_intrinsic_delaunay(vertices: np.ndarray, tris: np.ndarray, a: float
     """Deterministic edge flips until every interior edge has cot sum >= 0.
 
     Raw zigzag stitching can leave a few locally non-Delaunay edges near the
-    center, which would produce non-positive star weights downstream.
+    center, which would produce non-positive star weights downstream. The
+    pass runs on one edge table held in flat buffers: a flip reuses the slot
+    of the removed edge for the new diagonal, whose length is the only
+    distance it computes.
     """
-    from collections import deque
-
-    edges, sums = _intrinsic_cot_sums(vertices, tris, a)
-    bad = edges[sums < -1e-12]
+    edges, face_edges, _ = edge_table(tris, vertices.shape[0])
+    lengths = pairwise_distances(vertices[edges[:, 0]], vertices[edges[:, 1]], a)
+    bad = np.flatnonzero(_cot_sums(lengths, face_edges) < -1e-12)
     if bad.size == 0:
         return tris
 
-    tris = [list(t) for t in tris]
-    edge_faces: dict[tuple[int, int], list[int]] = {}
-    for f, (u, v, w) in enumerate(tris):
-        for x, y in ((u, v), (v, w), (w, u)):
-            edge_faces.setdefault((min(x, y), max(x, y)), []).append(f)
+    # edge slot -> its two faces (-1 on the boundary), from a stable argsort
+    slots = face_edges.reshape(-1)
+    order = np.argsort(slots, kind="stable")
+    second = np.r_[False, slots[order][1:] == slots[order][:-1]]
+    edge_faces = np.full((edges.shape[0], 2), -1, dtype=np.int64)
+    edge_faces[slots[order], second.astype(np.int64)] = order // 3
 
-    queue = deque(tuple(e) for e in bad)
+    T = array("q", tris.astype(np.int64).tobytes())  # T[3f + k]: corner k of face f
+    FE = array("q", face_edges.astype(np.int64).tobytes())  # FE[3f + k]: edge opposite it
+    EF = array("q", edge_faces.tobytes())  # EF[2e], EF[2e + 1]: faces on edge slot e
+    L = array("d", lengths.tobytes())
+
+    def retarget(e, old, new):
+        EF[2 * e if EF[2 * e] == old else 2 * e + 1] = new
+
+    queue = deque(bad.tolist())
     queued = set(queue)
-    budget = 20 * len(edges)
+    budget = 20 * edges.shape[0]
     while queue:
         budget -= 1
         if budget < 0:
             raise MeshQualityError("intrinsic Delaunay flipping did not terminate")
-        key = queue.popleft()
-        queued.discard(key)
-        faces = edge_faces.get(key, [])
-        if len(faces) != 2:
+        e = queue.popleft()
+        queued.discard(e)
+        f1, f2 = EF[2 * e], EF[2 * e + 1]
+        if f2 < 0:
             continue
-        f1, f2 = faces
-        # orient so that face f1 traverses u -> v
-        u, v = key
-        if (u, v) not in _directed_pairs(tris[f1]):
-            f1, f2 = f2, f1
-        if (u, v) not in _directed_pairs(tris[f1]) or (v, u) not in _directed_pairs(tris[f2]):
+        # corner k of a face faces e, and e runs from corner k + 1 to corner k + 2
+        j1, j2 = 3 * f1, 3 * f2
+        k1, k2 = FE[j1 : j1 + 3].index(e), FE[j2 : j2 + 3].index(e)
+        i1, n1, m1 = j1 + k1, j1 + (k1 + 1) % 3, j1 + (k1 + 2) % 3
+        i2, n2, m2 = j2 + k2, j2 + (k2 + 1) % 3, j2 + (k2 + 2) % 3
+        if T[n1] > T[m1]:  # orient so that face f1 runs u -> v with u < v
+            f1, f2, j1, j2, i1, i2, n1, m1, n2, m2 = f2, f1, j2, j1, i2, i1, n2, m2, n1, m1
+        u, v, p, q = T[n1], T[m1], T[i1], T[i2]
+        if T[n2] != v or T[m2] != u:
             continue
-        p = next(x for x in tris[f1] if x not in key)
-        q = next(x for x in tris[f2] if x not in key)
-        if _edge_cot(vertices, a, u, v, p) + _edge_cot(vertices, a, u, v, q) >= -1e-12:
+        if _cot(L[e], L[FE[n1]], L[FE[m1]]) + _cot(L[e], L[FE[n2]], L[FE[m2]]) >= -1e-12:
             continue
         if not (_ccw(vertices, u, q, p) and _ccw(vertices, v, p, q)):
             continue  # non-convex quad; leave the edge alone
-        for f in (f1, f2):
-            for x, y in _directed_pairs(tris[f]):
-                edge_faces[(min(x, y), max(x, y))].remove(f)
-        tris[f1] = [u, q, p]
-        tris[f2] = [v, p, q]
-        for f in (f1, f2):
-            for x, y in _directed_pairs(tris[f]):
-                edge_faces.setdefault((min(x, y), max(x, y)), []).append(f)
-        for x, y in ((u, p), (p, v), (v, q), (q, u)):
-            k2 = (min(x, y), max(x, y))
-            if k2 not in queued:
-                queue.append(k2)
-                queued.add(k2)
-    return np.array(tris, dtype=np.int64)
-
-
-def _directed_pairs(face) -> tuple:
-    u, v, w = face
-    return ((u, v), (v, w), (w, u))
+        e_vp, e_pu, e_uq, e_qv = FE[n1], FE[m1], FE[n2], FE[m2]
+        T[j1], T[j1 + 1], T[j1 + 2], FE[j1], FE[j1 + 1], FE[j1 + 2] = u, q, p, e, e_pu, e_uq
+        T[j2], T[j2 + 1], T[j2 + 2], FE[j2], FE[j2 + 1], FE[j2 + 2] = v, p, q, e, e_qv, e_vp
+        retarget(e_uq, f2, f1)
+        retarget(e_vp, f1, f2)
+        L[e] = distance(vertices[p], vertices[q], a)
+        for side in (e_pu, e_vp, e_qv, e_uq):
+            if side not in queued:
+                queue.append(side)
+                queued.add(side)
+    return np.frombuffer(T, dtype=np.int64).reshape(-1, 3)
 
 
 def _audit_mesh(mesh: TriMesh, h: float):
-    v = mesh.vertices
-    t = mesh.triangles
-    ux = v[t[:, 1], 0] - v[t[:, 0], 0]
-    uy = v[t[:, 1], 1] - v[t[:, 0], 1]
-    wx = v[t[:, 2], 0] - v[t[:, 0], 0]
-    wy = v[t[:, 2], 1] - v[t[:, 0], 1]
-    if np.any(ux * wy - uy * wx <= 0.0):
+    corners = mesh.vertices[mesh.triangles]  # (F, 3, 2)
+    u, w = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+    if np.any(u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0] <= 0.0):
         raise MeshQualityError("generated triangle is not counterclockwise")
     _, lengths = mesh_edge_lengths(mesh)
     slack = 1e-9 * h
@@ -347,40 +378,31 @@ def ball_mesh(a: float, rho_max: float, h: float) -> TriMesh:
     Ring i sits at geodesic radius i*h and carries round(2*pi*sinh(a*i*h)/(a*h))
     vertices (round(2*pi*i) at a = 0); consecutive rings are stitched by a
     zigzag. Deterministic for fixed inputs. Every edge length must land in
-    [h/2, 2h] or the mesh is rejected.
+    [h/2, 2h] or the mesh is rejected, and a ball of more than MAX_VERTICES
+    vertices is rejected before anything is allocated.
     """
+    if not all(math.isfinite(x) for x in (a, rho_max, h)):
+        raise ConfigError("curvature, radius and edge length must be finite")
     if a < 0:
         raise DomainError("curvature parameter a must be >= 0")
     if rho_max <= 0:
         raise ConfigError("rho_max must be positive")
     if not 0 < h <= rho_max:
         raise ConfigError("edge length h must satisfy 0 < h <= rho_max")
-    n_rings = round(rho_max / h)
-    if n_rings < 1:
-        raise ConfigError("parameters produce fewer than 3 boundary vertices")
-    sizes = _ring_sizes(a, h, n_rings)
+    if a > 0 and a * h == 0.0:
+        raise ConfigError("curvature times edge length underflows; use curvature 0")
+    diameter = 2.0 * (rho_max + h)  # bounds every length the law of cosines squares
+    if not math.isfinite(diameter * diameter):
+        raise ConfigError("radius too large: squared edge lengths would overflow")
+    sizes = _ring_sizes(a, rho_max, h)
+    vertices = _place_rings(a, h, sizes)
 
-    verts = [(0.0, 0.0)]
-    ring_ids: list[np.ndarray] = []
-    # fixed irrational twist per ring: breaks the reflection symmetries that can
-    # make zigzag quads exactly cocircular (zero cotangent star weights)
-    twist = 0.6180339887498949
-    for i, m in enumerate(sizes, start=1):
-        r = model_radius(i * h, a)
-        theta = 2.0 * np.pi * np.arange(m) / m + twist * i
-        start = len(verts)
-        verts.extend(zip(r * np.cos(theta), r * np.sin(theta)))
-        ring_ids.append(np.arange(start, start + m))
-
-    tris: list[tuple[int, int, int]] = []
-    first = ring_ids[0]
-    for j in range(len(first)):
-        tris.append((0, int(first[j]), int(first[(j + 1) % len(first)])))
-    for i, (inner, outer) in enumerate(zip(ring_ids[:-1], ring_ids[1:]), start=1):
-        tris.extend(_stitch_rings(inner, outer, twist * i, twist * (i + 1)))
-
-    vertices = np.array(verts, dtype=float)
-    triangles = _flip_to_intrinsic_delaunay(vertices, np.array(tris, dtype=np.int64), a)
+    starts = np.cumsum([1] + sizes)
+    rings = [np.arange(lo, hi) for lo, hi in zip(starts[:-1], starts[1:])]
+    tris = [np.stack([np.zeros_like(rings[0]), rings[0], np.roll(rings[0], -1)], axis=1)]
+    for i, (inner, outer) in enumerate(zip(rings[:-1], rings[1:]), start=1):
+        tris.append(_stitch_rings(inner, outer, _TWIST * i, _TWIST * (i + 1)))
+    triangles = _flip_to_intrinsic_delaunay(vertices, np.concatenate(tris), a)
 
     mesh = TriMesh(
         vertices=vertices,
@@ -390,8 +412,8 @@ def ball_mesh(a: float, rho_max: float, h: float) -> TriMesh:
             "generator": "ball_mesh",
             "rho_max": float(rho_max),
             "edge_length": float(h),
-            "rings": n_rings,
-            "realized_radius": float(n_rings * h),
+            "rings": len(sizes),
+            "realized_radius": float(len(sizes) * h),
         },
     )
     _audit_mesh(mesh, h)

@@ -97,6 +97,16 @@ class StreamResult:
     path_defect: float  # worst closure mismatch on non-tree dual edges
 
 
+def _check_edge_values(c: Cochain, cx: SimplicialComplex, what: str):
+    """A degree-1 cochain with one finite value per edge; checked before any work."""
+    if c.degree != 1:
+        raise DegreeError(f"{what} needs a degree-1 cochain")
+    if c.values.shape != (cx.num_edges,):
+        raise ConfigError(f"{what} needs {cx.num_edges} edge values, got shape {c.values.shape}")
+    if not np.all(np.isfinite(c.values)):
+        raise ConfigError(f"{what} needs finite cochain values")
+
+
 def _interior_l2_norm(c: Cochain, cx: SimplicialComplex, stars: StarWeights) -> float:
     """L2 norm over interior simplices (the weak-derivative test region)."""
     w = stars.star(c.degree) * dec.interior_mask(cx, c.degree)
@@ -158,8 +168,9 @@ def decompose(
     which cancels every H1 cross term, so this is also the H1 split: `space`
     only selects the inner product of the diagnostics.
     """
-    if alpha.degree != 1 or space.degree != 1:
+    if space.degree != 1:
         raise DegreeError("decompose works on degree-1 cochains")
+    _check_edge_values(alpha, cx, "decompose")
     if cfg is None:
         cfg = SolveConfig()
 
@@ -281,8 +292,7 @@ def stream_function(
     star2 omega = f and delta omega = v. Closure on the remaining dual edges
     is verified (path independence), as is the final reconstruction.
     """
-    if v.degree != 1:
-        raise DegreeError("stream function needs a degree-1 cochain")
+    _check_edge_values(v, cx, "stream function")
     collar = ~cx.interior_edges
     vmax = float(np.abs(v.values).max()) if v.values.size else 0.0
     if vmax == 0.0:
@@ -360,8 +370,7 @@ def truncation_distance(
     phi_R multiplies each edge value by the mean of the cutoff at the edge
     endpoints. Requires the support scale 2R to stay inside the meshed ball.
     """
-    if gamma.degree != 1:
-        raise DegreeError("truncation distance works on degree-1 cochains")
+    _check_edge_values(gamma, cx, "truncation distance")
     if R <= 1.0:
         raise DomainError("cutoff scale R must exceed 1")
     rho_max = float(radial_distance(mesh.vertices, mesh.curvature).max())

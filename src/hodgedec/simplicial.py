@@ -8,15 +8,12 @@ touching any boundary vertex (a one-layer collar models compact support).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegreeError, TopologyError
-
-if TYPE_CHECKING:
-    from .geometry import TriMesh
+from .geometry import TriMesh, edge_table
 
 __all__ = ["Cochain", "SimplicialComplex", "build_complex", "apply_d", "interior_restriction"]
 
@@ -75,7 +72,7 @@ class SimplicialComplex:
         raise DegreeError(f"no simplices of degree {degree}")
 
 
-def build_complex(mesh: "TriMesh") -> SimplicialComplex:
+def build_complex(mesh: TriMesh) -> SimplicialComplex:
     """Enumerate oriented edges, build d0/d1, classify the boundary."""
     faces = np.asarray(mesh.triangles, dtype=np.int64)
     num_v = int(mesh.num_vertices)
@@ -88,16 +85,9 @@ def build_complex(mesh: "TriMesh") -> SimplicialComplex:
     ):
         raise TopologyError("triangle with a repeated vertex")
 
-    directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    lo = directed.min(axis=1)
-    hi = directed.max(axis=1)
-    # the key lo * V + hi sorts like the pair (lo, hi), so edges stay lexicographic
-    keys, inverse, counts = np.unique(lo * num_v + hi, return_inverse=True, return_counts=True)
-    edges = np.stack([keys // num_v, keys % num_v], axis=1)
+    edges, face_edges, counts = edge_table(faces, num_v)
     num_e = edges.shape[0]
     num_f = faces.shape[0]
-    # rows of `directed` hold the sides (0, 1), (1, 2), (2, 0) of every face in turn
-    face_edges = inverse.reshape(3, num_f).T[:, [1, 2, 0]]
 
     if np.any(counts > 2):
         bad = edges[np.argmax(counts)]
@@ -112,9 +102,10 @@ def build_complex(mesh: "TriMesh") -> SimplicialComplex:
     vals = np.tile(np.array([-1, 1], dtype=np.int64), num_e)
     d0 = sp.csr_matrix((vals, (rows, cols)), shape=(num_e, num_v))
 
-    face_rows = np.tile(np.arange(num_f), 3)
-    signs = np.where(directed[:, 0] < directed[:, 1], 1, -1).astype(np.int64)
-    d1 = sp.csr_matrix((signs, (face_rows, inverse)), shape=(num_f, num_e))
+    # the side opposite corner c runs from corner c + 1 to corner c + 2
+    signs = np.where(faces[:, [1, 2, 0]] < faces[:, [2, 0, 1]], 1, -1).astype(np.int64)
+    face_rows = np.repeat(np.arange(num_f), 3)
+    d1 = sp.csr_matrix((signs.reshape(-1), (face_rows, face_edges.reshape(-1))), shape=(num_f, num_e))
 
     boundary_edges = counts == 1
     boundary_vertices = np.zeros(num_v, dtype=bool)
@@ -152,10 +143,7 @@ def _check_boundary_cycle(bedges: np.ndarray, bverts: np.ndarray):
     """The boundary must be one closed cycle (disk topology)."""
     if bedges.shape[0] == 0:
         raise TopologyError("mesh has no boundary edges")
-    degree = np.zeros(bverts.shape[0], dtype=np.int64)
-    for i, j in bedges:
-        degree[i] += 1
-        degree[j] += 1
+    degree = np.bincount(bedges.reshape(-1), minlength=bverts.shape[0])
     if np.any(degree[bverts] != 2):
         raise TopologyError("boundary is not a union of closed cycles")
     # connectivity walk from an arbitrary boundary vertex

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import hodgedec as hd
+
+# fixed profile for property tests that drive whole CLI commands: the same
+# examples on every run, few of them, each within a deadline
+settings.register_profile("cli", derandomize=True, max_examples=40, deadline=3000)
+
+
+def unreachable_placement(a, h, sizes):
+    """Stand-in for geometry._place_rings where the parameters must be rejected first."""
+    raise AssertionError("ring placement reached for parameters that must be rejected")
 
 
 @pytest.fixture(scope="session")

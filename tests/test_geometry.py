@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hodgedec as hd
+from hodgedec import geometry, io
 from hodgedec.errors import ConfigError, DomainError
-from hodgedec.geometry import mesh_edge_lengths
+from hodgedec.geometry import edge_table, mesh_edge_lengths
+
+from conftest import unreachable_placement
 
 # Frozen oracle outputs (see the oracle functions below, evaluated at high
 # precision during development).
@@ -178,6 +181,163 @@ class TestBallMesh:
         mesh = hd.ball_mesh(0.0, 1.05, 0.2)  # rounds to 5 rings
         assert mesh.provenance["rings"] == 5
         assert mesh.provenance["realized_radius"] == pytest.approx(1.0)
+
+
+# mesh_checksum of ball_mesh(a, rho, h), pinned so that any change to the mesh
+# bytes (face order, corner order, flipped edges) shows; each of these meshes
+# flips between 17 and 409 edges
+PINNED_MESHES = {
+    (1.0, 1.2, 0.15): "07ba98c51af2277f923762f4001a07282a84975768fe6cff5ee20048eb933343",
+    (1.0, 3.0, 0.3): "4e585a07a6288bb966ffc8a55913cf28fba9dc57247a5fd5ab8f140a1101268c",
+    (2.0, 2.0, 0.1): "ee3be1f1806251758e55fe18b08d2f9cfd8b8eefcdf5e9d21fa2afefccfc7d02",
+    (0.0, 1.0, 0.1): "13e210e9de6431b1b486084c2e2132a08cdf467cb0b50f64de6d54d7ebef31c9",
+}
+
+
+class TestFlipPass:
+    @pytest.mark.parametrize("params", sorted(PINNED_MESHES))
+    def test_meshes_pinned_and_intrinsic_delaunay(self, params):
+        mesh = hd.ball_mesh(*params)
+        assert io.mesh_checksum(mesh) == PINNED_MESHES[params]
+        _, face_edges, counts = edge_table(mesh.triangles, mesh.num_vertices)
+        _, lengths = mesh_edge_lengths(mesh)
+        sums = geometry._cot_sums(lengths, face_edges)
+        assert sums[counts == 2].min() >= -1e-12
+
+    def test_raw_stitching_is_not_delaunay(self, monkeypatch):
+        # without the flip pass the pinned meshes do have negative cotangent sums
+        monkeypatch.setattr(geometry, "_flip_to_intrinsic_delaunay", lambda v, t, a: t)
+        mesh = hd.ball_mesh(2.0, 2.0, 0.1)
+        _, face_edges, counts = edge_table(mesh.triangles, mesh.num_vertices)
+        sums = geometry._cot_sums(mesh_edge_lengths(mesh)[1], face_edges)
+        assert sums[counts == 2].min() < -1e-12
+
+    def test_scalar_and_vector_cotangents_agree_bitwise(self, discretize):
+        mesh, _, _ = discretize(1.0, 2.0, 0.2)
+        _, face_edges, _ = edge_table(mesh.triangles, mesh.num_vertices)
+        _, lengths = mesh_edge_lengths(mesh)
+        L = lengths[face_edges]
+        cos = geometry.corner_cosines(L)
+        vector = cos / np.sqrt(np.maximum(1.0 - cos * cos, 1e-300))
+        for f in range(0, L.shape[0], 7):
+            for c in range(3):
+                opposite, b, d = (float(L[f, (c + k) % 3]) for k in range(3))
+                assert geometry._cot(opposite, b, d) == vector[f, c]
+
+    def test_edge_table_matches_axis_unique_reference(self, discretize):
+        mesh, _, _ = discretize(1.0, 1.0, 0.2)
+        t = mesh.triangles
+        pairs = np.sort(np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]]), axis=1)
+        ref, ref_counts = np.unique(pairs, axis=0, return_counts=True)
+        edges, face_edges, counts = edge_table(t, mesh.num_vertices)
+        np.testing.assert_array_equal(edges, ref)
+        np.testing.assert_array_equal(counts, ref_counts)
+        np.testing.assert_array_equal(np.sort(edges[face_edges], axis=2),
+                                      np.sort(np.stack([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]], 1), axis=2))
+
+
+def stitch_rings_loop(inner, outer, inner_start, outer_start):
+    """Reference: the zigzag as a step-by-step walk, inner ring first on ties."""
+    m, big = len(inner), len(outer)
+    step_i = 2.0 * math.pi / m
+    step_j = 2.0 * math.pi / big
+    offsets = np.mod(outer_start + step_j * np.arange(big) - inner_start, 2.0 * math.pi)
+    j0 = int(np.argmin(offsets))
+    phi0 = float(offsets[j0])
+    tris = []
+    i = j = 0
+    while i < m or j < big:
+        if i < m and j < big:
+            advance_inner = (i + 1) * step_i <= phi0 + (j + 1) * step_j
+        else:
+            advance_inner = i < m
+        oj = outer[(j0 + j) % big]
+        if advance_inner:
+            tris.append((inner[i % m], oj, inner[(i + 1) % m]))
+            i += 1
+        else:
+            tris.append((inner[i % m], oj, outer[(j0 + j + 1) % big]))
+            j += 1
+    return np.array(tris, dtype=np.int64)
+
+
+def test_stitch_rings_matches_loop_reference():
+    rng = np.random.default_rng(7)
+    pairs = [(6, 6), (6, 12), (7, 13), (12, 6), (50, 57), (6920, 20447)]
+    pairs += [tuple(sorted(rng.integers(3, 400, size=2))) for _ in range(40)]
+    for m, big in pairs:
+        inner, outer = np.arange(1, 1 + m), np.arange(1 + m, 1 + m + big)
+        for inner_start, outer_start in [(0.0, 0.0), (0.618, 1.236)] + [tuple(rng.uniform(0, 20, 2))]:
+            np.testing.assert_array_equal(
+                geometry._stitch_rings(inner, outer, inner_start, outer_start),
+                stitch_rings_loop(inner, outer, inner_start, outer_start),
+            )
+
+
+class TestBallMeshLimits:
+    @pytest.mark.parametrize("a, rho, h", [
+        (1.0, math.inf, 0.2), (math.nan, 1.0, 0.2), (1.0, 1.0, math.nan),
+        (math.inf, 1.0, 0.2), (1.0, 1.0, -math.inf),
+    ])
+    def test_non_finite_rejected(self, monkeypatch, a, rho, h):
+        monkeypatch.setattr(geometry, "_place_rings", unreachable_placement)
+        with pytest.raises(ConfigError, match="finite"):
+            hd.ball_mesh(a, rho, h)
+
+    @pytest.mark.parametrize("a, rho, h", [
+        (50.0, 1.0, 0.2),  # ring 2 alone would hold about 1.5e8 vertices
+        (1.0, 1000.0, 1000.0),  # sinh(1000) overflows
+        (0.0, 1e6, 0.1),  # 1e7 rings
+        (1.0, 1e100, 1e-100),  # 1e200 rings
+        (1e300, 1e10, 1.0),
+    ])
+    def test_vertex_cap_checked_before_placement(self, monkeypatch, a, rho, h):
+        monkeypatch.setattr(geometry, "_place_rings", unreachable_placement)
+        with pytest.raises(ConfigError, match="vertices"):
+            hd.ball_mesh(a, rho, h)
+
+    def test_ring_sizes_at_the_cap(self):
+        # flat rings hold round(2 pi i) vertices: 1 + sum over i <= n passes 1e6 at n = 564
+        flat = geometry._ring_sizes(0.0, 563.0, 1.0)
+        assert 1 + sum(flat) <= geometry.MAX_VERTICES
+        with pytest.raises(ConfigError):
+            geometry._ring_sizes(0.0, 564.0, 1.0)
+        assert geometry._ring_sizes(1.0, 0.4, 0.2) == [
+            round(2 * math.pi * math.sinh(0.2) / 0.2), round(2 * math.pi * math.sinh(0.4) / 0.2)
+        ]
+
+    def test_underflowing_curvature_rejected(self):
+        with pytest.raises(ConfigError, match="underflows"):
+            hd.ball_mesh(5e-324, 1.0, 0.5)
+
+    @pytest.mark.parametrize("a, rho, h", [
+        (0.0, 1.5e308, 1e308),  # the second ring would sit at radius inf
+        (0.0, 1e200, 1e199),  # squared lengths overflow, so no cotangent is finite
+        (1e-300, 1e200, 1e199),
+    ])
+    def test_overflowing_lengths_rejected(self, monkeypatch, a, rho, h):
+        monkeypatch.setattr(geometry, "_place_rings", unreachable_placement)
+        with pytest.raises(ConfigError, match="too large"):
+            hd.ball_mesh(a, rho, h)
+
+    def test_non_finite_vertices_rejected(self):
+        with pytest.raises(ConfigError, match="finite"):
+            hd.TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]]), np.array([[0, 1, 2]]), 0.0)
+
+    @pytest.mark.parametrize("argv", [
+        ["--curvature", "1", "--radius", "inf", "--edge", "0.2"],
+        ["--curvature", "1", "--radius", "1000", "--edge", "1000"],
+        ["--curvature", "nan", "--radius", "1", "--edge", "0.2"],
+        ["--curvature", "50", "--radius", "1", "--edge", "0.2"],
+    ])
+    def test_cli_exit_code(self, monkeypatch, tmp_path, capsys, argv):
+        from hodgedec.cli import main
+
+        monkeypatch.setattr(geometry, "_place_rings", unreachable_placement)
+        out = tmp_path / "m.json"
+        assert main(["mesh", *argv, "--out", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCutoff:

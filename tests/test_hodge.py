@@ -296,6 +296,45 @@ class TestStreamFunction:
             hd.stream_function(Cochain(1, np.ones(cx.num_edges)), mesh, cx, stars)
 
 
+def _coexact_with_nan(discretize):
+    mesh, cx, stars = discretize(1.0, 1.0, 0.2)
+    values = builtin_form("coexact", mesh, cx, stars, seed=2).values.copy()
+    values[np.flatnonzero(cx.interior_edges)[0]] = np.nan
+    return Cochain(1, values), mesh, cx, stars
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("a non-finite cochain reached the numerics")
+
+
+class TestNonFiniteCochains:
+    def test_decompose_rejects_nan(self, discretize, monkeypatch):
+        alpha, mesh, cx, stars = _coexact_with_nan(discretize)
+        monkeypatch.setattr(hd.hodge, "_potential_maps", _no_work)
+        for tag in ("l2", "h1"):
+            with pytest.raises(ConfigError, match="finite"):
+                hd.decompose(alpha, InnerProductSpace(tag, 1, 1.0), mesh, cx, stars)
+
+    def test_stream_function_rejects_nan(self, discretize, monkeypatch):
+        v, mesh, cx, stars = _coexact_with_nan(discretize)
+        monkeypatch.setattr(hd.hodge, "_coclosedness_residual", _no_work)
+        with pytest.raises(ConfigError, match="finite"):
+            hd.stream_function(v, mesh, cx, stars)
+
+    def test_truncation_distance_rejects_nan(self, discretize):
+        gamma, mesh, cx, stars = _coexact_with_nan(discretize)
+        with pytest.raises(ConfigError, match="finite"):
+            hd.truncation_distance(gamma, 1.2, InnerProductSpace("h1", 1, 1.0), mesh, cx, stars)
+
+    def test_wrong_length_rejected(self, discretize):
+        mesh, cx, stars = discretize(1.0, 1.0, 0.2)
+        short = Cochain(1, np.zeros(cx.num_edges - 1))
+        with pytest.raises(ConfigError, match="edge values"):
+            hd.stream_function(short, mesh, cx, stars)
+        with pytest.raises(ConfigError, match="edge values"):
+            hd.decompose(short, InnerProductSpace("l2", 1, 1.0), mesh, cx, stars)
+
+
 class TestTruncation:
     def test_zero_gamma(self, discretize):
         mesh, cx, stars = discretize(1.0, 3.0, 0.2)

@@ -1,15 +1,18 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hodgedec as hd
-from hodgedec import io
+from hodgedec import geometry, io
 from hodgedec.cli import main
 from hodgedec.errors import ChecksumError
 from hodgedec.simplicial import Cochain
 
-from conftest import make_lattice_mesh
+from conftest import make_lattice_mesh, unreachable_placement
 
 
 @pytest.fixture()
@@ -171,3 +174,58 @@ class TestCli:
                      "--radius", "3", "--edge", "0.15", "--form", "builtin:dx",
                      "--out", str(tmp_path / "t.json")])
         assert code == 1
+
+
+# valid draws stay small (at most 20 rings, a * rho <= 5, a few thousand vertices)
+_valid_mesh_args = st.builds(
+    lambda n, frac, h, t: (t * min(3.0, 5.0 / (h * (n + frac))), h * (n + frac), h),
+    st.integers(1, 20), st.floats(0.0, 0.45), st.floats(0.05, 1.0),
+    st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+)
+_finite = st.floats(0.05, 5.0)
+
+
+def _replace(values, index, value):
+    return tuple(value if i == index else v for i, v in enumerate(values))
+
+
+_invalid_mesh_args = st.one_of(
+    # a non-finite value in any position
+    st.builds(_replace, st.tuples(_finite, _finite, _finite), st.integers(0, 2),
+              st.sampled_from([math.nan, math.inf, -math.inf])),
+    # a negative curvature, radius or edge length
+    st.tuples(st.floats(-1e6, -1e-6), _finite, _finite).map(lambda t: (t[0], 1.0 + t[1], 0.5)),
+    st.tuples(_finite, st.floats(-1e6, 0.0)).map(lambda t: (t[0], t[1], 0.1)),
+    st.tuples(_finite, st.floats(-1e6, 0.0)).map(lambda t: (t[0], 1.0, t[1])),
+    # an edge longer than the radius
+    st.tuples(_finite, _finite, st.floats(1.01, 100.0)).map(lambda t: (t[0], t[1], t[1] * t[2])),
+    # huge curvature or huge radius: more vertices than the cap, or lengths too large
+    st.tuples(st.floats(50.0, 1e300), st.floats(1.0, 10.0), st.floats(0.1, 1.0)),
+    st.tuples(st.floats(0.0, 3.0), st.floats(1e4, 1e300), st.floats(0.01, 1.0)),
+)
+
+
+class TestMeshArguments:
+    @settings(settings.get_profile("cli"))
+    @given(params=_valid_mesh_args)
+    def test_valid_draw_writes_a_mesh_that_reloads(self, tmp_path_factory, params):
+        out = tmp_path_factory.mktemp("mesh") / "m.json"
+        assert main(_mesh_argv(params, out)) == 0
+        assert io.mesh_checksum(io.load_mesh(out)) == io.mesh_checksum(hd.ball_mesh(*params))
+
+    @settings(settings.get_profile("cli"))
+    @given(params=_invalid_mesh_args)
+    def test_invalid_draw_exits_1_before_placing_vertices(self, tmp_path_factory, params):
+        out = tmp_path_factory.mktemp("mesh") / "m.json"
+        original = geometry._place_rings
+        geometry._place_rings = unreachable_placement  # a regressed check fails here, not in memory
+        try:
+            assert main(_mesh_argv(params, out)) == 1
+        finally:
+            geometry._place_rings = original
+        assert not out.exists()
+
+
+def _mesh_argv(params, out):
+    a, rho, h = params
+    return ["mesh", f"--curvature={a!r}", f"--radius={rho!r}", f"--edge={h!r}", "--out", str(out)]
