@@ -7,8 +7,6 @@ exact rational arithmetic.
 """
 
 from .dec import (
-    InnerProductSpace,
-    SolveConfig,
     StarWeights,
     assemble_stars,
     bochner,

@@ -15,8 +15,7 @@ import time
 from pathlib import Path
 
 from . import dec, forms, hodge, io, weitzenbock
-from .dec import InnerProductSpace, SolveConfig
-from .errors import ConvergenceError
+from .errors import ConfigError, ConvergenceError
 from .geometry import ball_mesh
 from .simplicial import apply_d, build_complex
 
@@ -133,10 +132,9 @@ def _cmd_decompose(args) -> int:
     t0 = time.time()
     mesh, cx, stars = _setup(args.mesh)
     alpha = _load_form(args.form, mesh, cx, stars, args.seed)
-    space = InnerProductSpace(args.space, 1, mesh.curvature)
-    split = hodge.decompose(alpha, space, mesh, cx, stars, SolveConfig(tolerance=args.tol))
+    split = hodge.decompose(alpha, args.space, cx, stars, tol=args.tol)
     d = split.diagnostics
-    harm = hodge.harmonic_diagnostics(split.gamma, space, cx, stars)
+    harm = hodge.harmonic_diagnostics(split.gamma, cx, stars)
     report = _base_report(args, mesh)
     report.update(
         {
@@ -160,7 +158,6 @@ def _cmd_decompose(args) -> int:
                 "pythagoras_defect": d.pythagoras_defect,
                 "norm_d_gamma_l2": d.norm_d_gamma_l2,
                 "norm_delta_gamma_l2": d.norm_delta_gamma_l2,
-                "cross_block_max": d.cross_block_max,
             },
             "harmonic": {
                 "energy": harm.energy,
@@ -183,7 +180,7 @@ def _cmd_stream(args) -> int:
     t0 = time.time()
     mesh, cx, stars = _setup(args.mesh)
     v = _load_form(args.form, mesh, cx, stars, args.seed)
-    result = hodge.stream_function(v, mesh, cx, stars, tol=args.tol)
+    result = hodge.stream_function(v, cx, stars, tol=args.tol)
     report = _base_report(args, mesh)
     report.update(
         {
@@ -218,6 +215,8 @@ def _cmd_verify_tensor(args) -> int:
 
 def _cmd_convergence(args) -> int:
     t0 = time.time()
+    if args.levels < 1:
+        raise ConfigError("--levels must be at least 1")
     rows = []
     for level in range(args.levels):
         h = args.edge / (2**level)
@@ -225,12 +224,10 @@ def _cmd_convergence(args) -> int:
         cx = build_complex(mesh)
         stars = dec.assemble_stars(mesh, cx)
         alpha = _load_form(args.form, mesh, cx, stars, args.seed)
-        space = InnerProductSpace(args.space, 1, mesh.curvature)
-        split = hodge.decompose(alpha, space, mesh, cx, stars, SolveConfig(tolerance=args.tol))
-        rep = hodge.harmonic_diagnostics(split.gamma, space, cx, stars)
+        split = hodge.decompose(alpha, args.space, cx, stars, tol=args.tol)
+        rep = hodge.harmonic_diagnostics(split.gamma, cx, stars)
         d = split.diagnostics
-        l2 = InnerProductSpace("l2", 1, mesh.curvature)
-        norm_alpha_l2 = dec.norm(alpha, l2, cx, stars)
+        norm_alpha_l2 = dec.norm(alpha, "l2", cx, stars)
         # closedness of the level's input form: the sampling-consistency trend
         in_d = hodge._interior_l2_norm(apply_d(alpha, cx), cx, stars) / norm_alpha_l2
         in_delta = (
@@ -274,6 +271,8 @@ def _cmd_convergence(args) -> int:
 def _cmd_truncate(args) -> int:
     t0 = time.time()
     radii = [float(r) for r in args.radii.split(",") if r]
+    if not radii:
+        raise ConfigError("--radii needs at least one cutoff scale")
     if args.mesh:
         mesh, cx, stars = _setup(args.mesh)
     else:
@@ -281,10 +280,9 @@ def _cmd_truncate(args) -> int:
         cx = build_complex(mesh)
         stars = dec.assemble_stars(mesh, cx)
     gamma = _load_form(args.form, mesh, cx, stars, args.seed)
-    space = InnerProductSpace(args.space, 1, mesh.curvature)
     tbl = []
     for R in radii:
-        dist = hodge.truncation_distance(gamma, R, space, mesh, cx, stars)
+        dist = hodge.truncation_distance(gamma, R, args.space, mesh, cx, stars)
         tbl.append({"R": R, "distance": dist})
         print(f"R={R}: |gamma - phi_R gamma| = {dist:.6g}")
     report = _base_report(args, mesh)

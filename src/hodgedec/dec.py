@@ -14,23 +14,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import ConvergenceError, DegreeError, MeshQualityError
+from .errors import ConfigError, ConvergenceError, DegreeError, MeshQualityError
 from .geometry import TriMesh, corner_cosines, heron_area, pairwise_distances
-from .simplicial import Cochain, SimplicialComplex
+from .simplicial import Cochain, SimplicialComplex, apply_d
 
 __all__ = [
     "StarWeights",
-    "InnerProductSpace",
-    "SolveConfig",
     "SolveResult",
     "assemble_stars",
     "codifferential_matrix",
     "codifferential",
+    "curvature_constant",
     "inner",
     "norm",
     "hodge_laplacian",
@@ -40,6 +38,13 @@ __all__ = [
 ]
 
 SURFACE_DIM = 2
+# iteration budget of one conjugate-gradient solve
+MAX_CG_ITERATIONS = 200_000
+
+
+def curvature_constant(a: float, k: int) -> float:
+    """c = a^2 k (N - k), the curvature term of the H1 pairing on k-forms, N = 2."""
+    return a**2 * k * (SURFACE_DIM - k)
 
 
 def continuum_codifferential_sign(n_dim: int, degree: int) -> int:
@@ -72,45 +77,6 @@ class StarWeights:
         if degree == 2:
             return self.star2
         raise DegreeError(f"no star weights for degree {degree}")
-
-
-@dataclass(frozen=True)
-class InnerProductSpace:
-    """Tag for the L2 or H1 pairing on degree-k cochains.
-
-    The H1 pairing is (1 + c) (u, v) + (du, dv) + (delta u, delta v) with the
-    curvature constant c = a^2 k (N - k), N = 2; this is the polarization of
-    the norm identity |grad u|^2 = |du|^2 + |d* u|^2 + c |u|^2 that holds on a
-    space form of curvature -a^2. The derivative terms are summed over
-    interior simplices only (testing against compact supports): the underlying
-    space has no boundary, and the mesh boundary would otherwise inject an
-    artificial flux layer that grows under refinement.
-    """
-
-    tag: str
-    degree: int
-    curvature: float
-
-    def __post_init__(self):
-        if self.tag not in ("l2", "h1"):
-            raise ValueError(f"unknown inner-product tag {self.tag!r}")
-        if self.degree not in (0, 1, 2):
-            raise DegreeError(f"invalid degree {self.degree}")
-        if self.curvature < 0:
-            raise ValueError("curvature parameter a must be >= 0")
-
-    @property
-    def curvature_constant(self) -> float:
-        k = self.degree
-        return self.curvature**2 * k * (SURFACE_DIM - k)
-
-
-@dataclass
-class SolveConfig:
-    """Conjugate-gradient settings; relative tolerance on the residual."""
-
-    tolerance: float = 1e-10
-    max_iterations: Optional[int] = None
 
 
 @dataclass
@@ -208,22 +174,30 @@ def interior_mask(cx: SimplicialComplex, degree: int) -> np.ndarray:
 def inner(
     u: Cochain,
     v: Cochain,
-    space: InnerProductSpace,
+    space: str,
     cx: SimplicialComplex,
     stars: StarWeights,
 ) -> float:
-    """L2 or H1 inner product of two cochains of the space's degree."""
-    if u.degree != v.degree or u.degree != space.degree:
-        raise DegreeError(
-            f"degree mismatch: u={u.degree}, v={v.degree}, space={space.degree}"
-        )
-    k = space.degree
-    base = _l2(u.values, v.values, stars.star(k))
-    if space.tag == "l2":
-        return base
-    from .simplicial import apply_d
+    """L2 or H1 inner product of two cochains of one degree k.
 
-    total = (1.0 + space.curvature_constant) * base
+    `space` is "l2" or "h1". The H1 pairing is (1 + c) (u, v) + (du, dv) +
+    (delta u, delta v) with c = curvature_constant(a, k) and a the curvature
+    carried by the stars; this is the polarization of the norm identity
+    |grad u|^2 = |du|^2 + |d* u|^2 + c |u|^2 that holds on a space form of
+    curvature -a^2. The derivative terms are summed over interior simplices
+    only (testing against compact supports): the underlying space has no
+    boundary, and the mesh boundary would otherwise inject an artificial flux
+    layer that grows under refinement.
+    """
+    if space not in ("l2", "h1"):
+        raise ConfigError(f"unknown inner-product space {space!r}; choose 'l2' or 'h1'")
+    if u.degree != v.degree:
+        raise DegreeError(f"degree mismatch: u={u.degree}, v={v.degree}")
+    k = u.degree
+    base = _l2(u.values, v.values, stars.star(k))
+    if space == "l2":
+        return base
+    total = (1.0 + curvature_constant(stars.curvature, k)) * base
     if k < 2:
         du, dv = apply_d(u, cx), apply_d(v, cx)
         total += _l2(du.values, dv.values, stars.star(k + 1) * interior_mask(cx, k + 1))
@@ -233,16 +207,12 @@ def inner(
     return total
 
 
-def norm(
-    u: Cochain, space: InnerProductSpace, cx: SimplicialComplex, stars: StarWeights
-) -> float:
+def norm(u: Cochain, space: str, cx: SimplicialComplex, stars: StarWeights) -> float:
     return math.sqrt(max(inner(u, u, space, cx, stars), 0.0))
 
 
 def hodge_laplacian(c: Cochain, cx: SimplicialComplex, stars: StarWeights) -> Cochain:
     """-Delta = d delta + delta d, with degree-invalid terms dropped."""
-    from .simplicial import apply_d
-
     out = np.zeros_like(c.values)
     if c.degree < 2:
         out += codifferential(apply_d(c, cx), cx, stars).values
@@ -251,39 +221,34 @@ def hodge_laplacian(c: Cochain, cx: SimplicialComplex, stars: StarWeights) -> Co
     return Cochain(c.degree, out)
 
 
-def bochner(
-    c: Cochain, space: InnerProductSpace, cx: SimplicialComplex, stars: StarWeights
-) -> Cochain:
+def bochner(c: Cochain, cx: SimplicialComplex, stars: StarWeights) -> Cochain:
     """Rough Laplacian: -Delta + a^2 k (N-k) * identity, per the space form identity."""
-    if c.degree != space.degree:
-        raise DegreeError("cochain degree does not match the space")
     lap = hodge_laplacian(c, cx, stars)
-    return Cochain(c.degree, lap.values + space.curvature_constant * c.values)
+    return Cochain(c.degree, lap.values + curvature_constant(stars.curvature, c.degree) * c.values)
 
 
 def solve_spd(
     A: sp.spmatrix,
     b: np.ndarray,
-    cfg: Optional[SolveConfig] = None,
+    tol: float = 1e-10,
     residual_floor: float = 0.0,
 ) -> SolveResult:
     """Jacobi-preconditioned conjugate gradients for SPD systems.
 
-    Stops at |A x - b| <= tolerance * |b| (or at the absolute residual_floor,
+    Stops at |A x - b| <= tol * |b| (or at the absolute residual_floor,
     whichever is larger; callers use the floor when b itself is the result of
-    heavy cancellation). Deterministic: fixed iteration order, serial
-    reductions. Raises ConvergenceError (carrying the final relative residual)
-    when the iteration budget is exhausted.
+    heavy cancellation); tol must lie in (0, 1). Deterministic: fixed
+    iteration order, serial reductions. Raises ConvergenceError (carrying the
+    final relative residual) when MAX_CG_ITERATIONS are exhausted.
     """
-    if cfg is None:
-        cfg = SolveConfig()
+    if not 0.0 < tol < 1.0:
+        raise ConfigError(f"solver tolerance must lie in (0, 1), got {tol!r}")
     A = A.tocsr()
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
         return SolveResult(np.zeros(n), 0, 0.0)
-    max_iter = cfg.max_iterations if cfg.max_iterations is not None else 200_000
 
     diag = A.diagonal()
     if np.any(diag <= 0.0):
@@ -295,13 +260,13 @@ def solve_spd(
     z = inv_diag * r
     p = z.copy()
     rz = float(np.dot(r, z))
-    target = max(cfg.tolerance * norm_b, residual_floor)
+    target = max(tol * norm_b, residual_floor)
     res = float(np.linalg.norm(r))
     it = 0
     while res > target:
-        if it >= max_iter:
+        if it >= MAX_CG_ITERATIONS:
             raise ConvergenceError(
-                f"conjugate gradients exceeded {max_iter} iterations "
+                f"conjugate gradients exceeded {MAX_CG_ITERATIONS} iterations "
                 f"(relative residual {res / norm_b:.3e})",
                 residual=res / norm_b,
                 iterations=it,
@@ -323,7 +288,7 @@ def solve_spd(
     if true_res > 10 * target:
         raise ConvergenceError(
             f"recursion residual converged but true residual {true_res / norm_b:.3e} "
-            f"did not reach tolerance {cfg.tolerance:.3e}",
+            f"did not reach tolerance {tol:.3e}",
             residual=true_res / norm_b,
             iterations=it,
         )

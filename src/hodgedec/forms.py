@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dec
-from .dec import InnerProductSpace, StarWeights
+from .dec import StarWeights
 from .errors import ConfigError
 from .geometry import TriMesh
 from .simplicial import Cochain, SimplicialComplex, apply_d
@@ -72,12 +72,11 @@ def builtin_form(
         return apply_d(beta0, cx)
     if name == "coexact":
         return dec.codifferential(omega0, cx, stars)
-    l2 = InnerProductSpace("l2", 1, mesh.curvature)
     total = np.zeros(cx.num_edges)
     for part in (
         coordinate_form(mesh, cx),
         apply_d(beta0, cx),
         dec.codifferential(omega0, cx, stars),
     ):
-        total += part.values / dec.norm(part, l2, cx, stars)
+        total += part.values / dec.norm(part, "l2", cx, stars)
     return Cochain(1, total)

@@ -8,6 +8,7 @@ dimensionless model coordinates while lengths carry the 1/a scale.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -51,11 +52,18 @@ class TriMesh:
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.vertices, dtype=float))
-        t = np.ascontiguousarray(np.asarray(self.triangles, dtype=np.int64))
+        t = np.asarray(self.triangles)
         if v.ndim != 2 or v.shape[1] != 2:
             raise ConfigError("vertices must be an (V, 2) array")
         if t.ndim != 2 or t.shape[1] != 3:
             raise ConfigError("triangles must be an (F, 3) array")
+        # a cast would truncate 0.5 to the index 0 and wrap indices past int64
+        integral = t.dtype.kind in "iu" or (
+            t.dtype.kind == "f" and bool(np.all(np.isfinite(t) & (t == np.trunc(t))))
+        )
+        if not integral or (t.size and (t.min() < 0 or t.max() >= v.shape[0])):
+            raise ConfigError(f"triangle indices must be integers in [0, {v.shape[0]})")
+        t = np.ascontiguousarray(t, dtype=np.int64)
         if not (math.isfinite(self.curvature) and np.all(np.isfinite(v))):
             raise ConfigError("curvature and vertices must be finite")
         if self.curvature < 0:
@@ -389,7 +397,9 @@ def ball_mesh(a: float, rho_max: float, h: float) -> TriMesh:
         raise ConfigError("rho_max must be positive")
     if not 0 < h <= rho_max:
         raise ConfigError("edge length h must satisfy 0 < h <= rho_max")
-    if a > 0 and a * h == 0.0:
+    # model coordinates are about a h in size and the audit's cross products
+    # about (a h)^2, which must not underflow
+    if a > 0 and (a * h) * (a * h) < sys.float_info.min:
         raise ConfigError("curvature times edge length underflows; use curvature 0")
     diameter = 2.0 * (rho_max + h)  # bounds every length the law of cosines squares
     if not math.isfinite(diameter * diameter):

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import dec
-from .dec import InnerProductSpace, SolveConfig, StarWeights
+from .dec import StarWeights
 from .errors import ConfigError, DegreeError, DomainError, PreconditionError
 from .geometry import TriMesh, cutoff_cochain, radial_distance
 from .simplicial import Cochain, SimplicialComplex, apply_d
@@ -49,7 +49,6 @@ class SplitDiagnostics:
     pythagoras_defect: float  # relative to |alpha|^2
     norm_d_gamma_l2: float
     norm_delta_gamma_l2: float
-    cross_block_max: float  # largest Gram entry coupling the two potential blocks
     iterations: int
     solver_residual: float
 
@@ -113,24 +112,6 @@ def _interior_l2_norm(c: Cochain, cx: SimplicialComplex, stars: StarWeights) -> 
     return float(np.sqrt(np.dot(c.values, w * c.values)))
 
 
-def _metric_matrix(
-    space: InnerProductSpace, cx: SimplicialComplex, stars: StarWeights
-) -> sp.csr_matrix:
-    """Matrix M with <u, v>_space = u^T M v on degree-1 cochains.
-
-    H1 derivative terms are tested on interior simplices, matching `dec.inner`.
-    """
-    s1 = sp.diags(stars.star1)
-    if space.tag == "l2":
-        return s1.tocsr()
-    c = space.curvature_constant
-    star2_int = stars.star2 * dec.interior_mask(cx, 2)
-    star0_int = dec.interior_mask(cx, 0) / stars.star0
-    curl_part = cx.d1.T @ sp.diags(star2_int) @ cx.d1
-    div_part = s1 @ cx.d0 @ sp.diags(star0_int) @ cx.d0.T @ s1
-    return ((1.0 + c) * s1 + curl_part + div_part).tocsr()
-
-
 def _potential_maps(cx: SimplicialComplex, stars: StarWeights):
     """Interior vertex and face indices vi, fi with P = d0[:, vi], Q = delta_2[:, fi]."""
     vi = np.flatnonzero(cx.interior_vertices)
@@ -154,11 +135,10 @@ def _optimality_terms(x: np.ndarray, P, Q, star1: np.ndarray) -> np.ndarray:
 
 def decompose(
     alpha: Cochain,
-    space: InnerProductSpace,
-    mesh: TriMesh,
+    space: str,
     cx: SimplicialComplex,
     stars: StarWeights,
-    cfg: Optional[SolveConfig] = None,
+    tol: float = 1e-10,
 ) -> HodgeSplit:
     """Split a 1-cochain into exact, co-exact and harmonic parts.
 
@@ -166,21 +146,15 @@ def decompose(
     gradients on the two decoupled block normal equations; gamma is the
     remainder. L2 optimality makes gamma closed and co-closed on the interior,
     which cancels every H1 cross term, so this is also the H1 split: `space`
-    only selects the inner product of the diagnostics.
+    ("l2" or "h1") only selects the inner product of the diagnostics, and
+    `tol` is the conjugate-gradient tolerance of both blocks.
     """
-    if space.degree != 1:
-        raise DegreeError("decompose works on degree-1 cochains")
     _check_edge_values(alpha, cx, "decompose")
-    if cfg is None:
-        cfg = SolveConfig()
+    norm_alpha = dec.norm(alpha, space, cx, stars)  # also rejects an unknown space
 
     vi, fi, P, Q = _potential_maps(cx, stars)
     s1 = sp.diags(stars.star1).tocsr()
     s1_alpha = s1 @ alpha.values
-    # the analytic cross Gram P^T M Q vanishes identically (d after d is zero);
-    # its assembled magnitude is reported as a mesh-quality / roundoff metric
-    cross = P.T @ (_metric_matrix(space, cx, stars) @ Q).tocsc()
-    cross_block_max = float(np.abs(cross.data).max()) if cross.nnz else 0.0
 
     # the right-hand sides can be tiny relative to their ingredients, and a
     # purely rhs-relative stop would then demand sub-roundoff accuracy
@@ -189,10 +163,10 @@ def decompose(
     )
     floors = 100.0 * np.finfo(float).eps * scales
     sol_b = dec.solve_spd(
-        (P.T @ (s1 @ P).tocsc()).tocsr(), P.T @ s1_alpha, cfg, residual_floor=floors[0]
+        (P.T @ (s1 @ P).tocsc()).tocsr(), P.T @ s1_alpha, tol, residual_floor=floors[0]
     )
     sol_w = dec.solve_spd(
-        (Q.T @ (s1 @ Q).tocsc()).tocsr(), Q.T @ s1_alpha, cfg, residual_floor=floors[1]
+        (Q.T @ (s1 @ Q).tocsc()).tocsr(), Q.T @ s1_alpha, tol, residual_floor=floors[1]
     )
     beta = np.zeros(cx.num_vertices)
     beta[vi] = sol_b.x
@@ -203,12 +177,11 @@ def decompose(
     delta_omega = Cochain(1, Q @ sol_w.x)
     gamma = Cochain(1, alpha.values - d_beta.values - delta_omega.values)
 
-    norm_alpha = dec.norm(alpha, space, cx, stars)
     norms_sq = [
         dec.inner(w, w, space, cx, stars) for w in (d_beta, delta_omega, gamma)
     ]
     diagnostics = SplitDiagnostics(
-        space=space.tag,
+        space=space,
         norm_alpha=norm_alpha,
         norm_exact=float(np.sqrt(max(norms_sq[0], 0.0))),
         norm_coexact=float(np.sqrt(max(norms_sq[1], 0.0))),
@@ -222,7 +195,6 @@ def decompose(
         pythagoras_defect=abs(norm_alpha**2 - sum(norms_sq)) / max(norm_alpha**2, np.finfo(float).tiny),
         norm_d_gamma_l2=_interior_l2_norm(apply_d(gamma, cx), cx, stars),
         norm_delta_gamma_l2=_interior_l2_norm(dec.codifferential(gamma, cx, stars), cx, stars),
-        cross_block_max=cross_block_max,
         iterations=sol_b.iterations + sol_w.iterations,
         solver_residual=max(sol_b.residual, sol_w.residual),
     )
@@ -232,10 +204,7 @@ def decompose(
 
 
 def harmonic_diagnostics(
-    gamma: Cochain,
-    space: InnerProductSpace,
-    cx: SimplicialComplex,
-    stars: StarWeights,
+    gamma: Cochain, cx: SimplicialComplex, stars: StarWeights
 ) -> HarmonicReport:
     """Energy and closedness report for a candidate harmonic 1-cochain.
 
@@ -247,9 +216,8 @@ def harmonic_diagnostics(
     """
     if gamma.degree != 1:
         raise DegreeError("harmonic diagnostics need a degree-1 cochain")
-    c = space.curvature_constant
-    l2_1 = InnerProductSpace("l2", 1, space.curvature)
-    norm_sq = dec.inner(gamma, gamma, l2_1, cx, stars)
+    c = dec.curvature_constant(stars.curvature, 1)
+    norm_sq = dec.inner(gamma, gamma, "l2", cx, stars)
     if norm_sq == 0.0:
         return HarmonicReport(True, 0.0, c, 0.0, None, 0.0, 0.0)
     d_sq = _interior_l2_norm(apply_d(gamma, cx), cx, stars) ** 2
@@ -279,7 +247,6 @@ def _coclosedness_residual(v: Cochain, cx: SimplicialComplex, stars: StarWeights
 
 def stream_function(
     v: Cochain,
-    mesh: TriMesh,
     cx: SimplicialComplex,
     stars: StarWeights,
     tol: float = 1e-10,
@@ -290,8 +257,12 @@ def stream_function(
     rooted at the lowest-index boundary-adjacent face, so the stream values f
     vanish on faces touching the boundary; omega = f * area gives
     star2 omega = f and delta omega = v. Closure on the remaining dual edges
-    is verified (path independence), as is the final reconstruction.
+    is verified (path independence), as is the final reconstruction. `tol`,
+    in (0, 1), bounds the collar values and the co-closedness defect relative
+    to the input, and 100 tol the closure defect.
     """
+    if not 0.0 < tol < 1.0:
+        raise ConfigError(f"stream tolerance must lie in (0, 1), got {tol!r}")
     _check_edge_values(v, cx, "stream function")
     collar = ~cx.interior_edges
     vmax = float(np.abs(v.values).max()) if v.values.size else 0.0
@@ -352,15 +323,14 @@ def stream_function(
     omega = Cochain(2, f * stars.face_areas)
     delta_omega = dec.codifferential(omega, cx, stars)
     diff = delta_omega.values - v.values
-    l2 = InnerProductSpace("l2", 1, stars.curvature)
-    res = dec.norm(Cochain(1, diff), l2, cx, stars) / dec.norm(v, l2, cx, stars)
+    res = dec.norm(Cochain(1, diff), "l2", cx, stars) / dec.norm(v, "l2", cx, stars)
     return StreamResult(f, omega, float(res), path_defect)
 
 
 def truncation_distance(
     gamma: Cochain,
     R: float,
-    space: InnerProductSpace,
+    space: str,
     mesh: TriMesh,
     cx: SimplicialComplex,
     stars: StarWeights,

@@ -42,7 +42,12 @@ def mesh_checksum(mesh: TriMesh) -> str:
 
 
 def save_json(obj: dict, path) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Write obj as JSON; a NaN or infinite number is an error and nothing is written."""
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        raise ConfigError(f"not writing {path}: a value is not finite (NaN or infinity)") from None
+    Path(path).write_text(text + "\n")
 
 
 def load_json(path) -> dict:
@@ -61,17 +66,42 @@ def save_mesh(mesh: TriMesh, path) -> None:
     )
 
 
-def load_mesh(path) -> TriMesh:
+def _load_object(path, what: str) -> dict:
     data = load_json(path)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} file {path} must hold a JSON object")
+    return data
+
+
+def _field(data: dict, key: str, path, what: str):
     try:
-        return TriMesh(
-            vertices=np.array(data["vertices"], dtype=float),
-            triangles=np.array(data["triangles"], dtype=np.int64),
-            curvature=float(data["curvature"]),
-            provenance=data.get("provenance", {}),
-        )
-    except KeyError as missing:
-        raise ConfigError(f"mesh file {path} lacks field {missing}") from None
+        return data[key]
+    except KeyError:
+        raise ConfigError(f"{what} file {path} lacks field {key!r}") from None
+
+
+def _array(data: dict, key: str, path, what: str, dtype=None) -> np.ndarray:
+    try:
+        return np.array(_field(data, key, path, what), dtype=dtype)
+    except (TypeError, OverflowError) as err:
+        raise ConfigError(f"{what} file {path}: field {key!r} is not a numeric array ({err})") from None
+
+
+def load_mesh(path) -> TriMesh:
+    data = _load_object(path, "mesh")
+    curvature = _field(data, "curvature", path, "mesh")
+    if isinstance(curvature, bool) or not isinstance(curvature, (int, float)):
+        raise ConfigError(f"mesh file {path}: curvature must be a real number")
+    try:
+        curvature = float(curvature)
+    except OverflowError:
+        raise ConfigError(f"mesh file {path}: curvature is too large") from None
+    return TriMesh(
+        vertices=_array(data, "vertices", path, "mesh", dtype=float),
+        triangles=_array(data, "triangles", path, "mesh"),  # TriMesh checks the indices
+        curvature=curvature,
+        provenance=data.get("provenance", {}),
+    )
 
 
 def save_cochain(c: Cochain, mesh: TriMesh, path) -> None:
@@ -86,13 +116,12 @@ def save_cochain(c: Cochain, mesh: TriMesh, path) -> None:
 
 
 def load_cochain(path, mesh: TriMesh) -> Cochain:
-    data = load_json(path)
-    try:
-        degree = int(data["degree"])
-        values = np.array(data["values"], dtype=float)
-        stamp = data["mesh_checksum"]
-    except KeyError as missing:
-        raise ConfigError(f"cochain file {path} lacks field {missing}") from None
+    data = _load_object(path, "cochain")
+    degree = _field(data, "degree", path, "cochain")
+    if isinstance(degree, bool) or not isinstance(degree, int):
+        raise ConfigError(f"cochain file {path}: degree must be an integer")
+    values = _array(data, "values", path, "cochain", dtype=float)
+    stamp = str(_field(data, "mesh_checksum", path, "cochain"))
     actual = mesh_checksum(mesh)
     if stamp != actual:
         raise ChecksumError(

@@ -76,8 +76,6 @@ def build_complex(mesh: TriMesh) -> SimplicialComplex:
     """Enumerate oriented edges, build d0/d1, classify the boundary."""
     faces = np.asarray(mesh.triangles, dtype=np.int64)
     num_v = int(mesh.num_vertices)
-    if faces.size and faces.max() >= num_v:
-        raise TopologyError("triangle references a vertex that does not exist")
     if np.any(
         (faces[:, 0] == faces[:, 1])
         | (faces[:, 1] == faces[:, 2])

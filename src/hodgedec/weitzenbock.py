@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import PreconditionError
+from .errors import ConfigError, PreconditionError
 
 __all__ = [
     "RationalTensorContext",
@@ -417,7 +417,15 @@ def verify_identities(ctx: RationalTensorContext) -> Optional[str]:
 
 
 def run_verification(max_dim: int = 5, trials: int = 50, seed: int = 0) -> VerificationReport:
-    """Seeded exact suite over every (N, k), 2 <= N <= max_dim, 0 <= k <= N."""
+    """Seeded exact suite over every (N, k), 2 <= N <= max_dim, 0 <= k <= N.
+
+    max_dim must lie in [2, 6], the dimensions a context accepts, and trials
+    must be at least 1, so that a run checks something.
+    """
+    if not 2 <= max_dim <= 6:
+        raise ConfigError(f"max_dim must lie between 2 and 6, got {max_dim}")
+    if trials < 1:
+        raise ConfigError(f"trials must be at least 1, got {trials}")
     results = []
     for n in range(2, max_dim + 1):
         for k in range(0, n + 1):

@@ -9,7 +9,6 @@ import pytest
 
 import hodgedec as hd
 from hodgedec import dec, weitzenbock
-from hodgedec.dec import InnerProductSpace, SolveConfig
 from hodgedec.forms import builtin_form, coordinate_form
 from hodgedec.hodge import _interior_l2_norm
 from hodgedec.simplicial import Cochain
@@ -37,11 +36,11 @@ def grid(discretize):
 def dx_levels(discretize):
     """H1 decompositions of the sampled harmonic form at three resolutions."""
     out = {}
-    space = InnerProductSpace("h1", 1, 1.0)
+    space = "h1"
     for h in (0.2, 0.1, 0.05):
         mesh, cx, stars = discretize(1.0, 3.0, h)
         alpha = coordinate_form(mesh, cx)
-        split = hd.decompose(alpha, space, mesh, cx, stars)
+        split = hd.decompose(alpha, space, cx, stars)
         out[h] = (mesh, cx, stars, alpha, split)
     return out
 
@@ -49,9 +48,9 @@ def dx_levels(discretize):
 @pytest.fixture(scope="module")
 def mixed_run(discretize):
     mesh, cx, stars = discretize(1.0, 3.0, 0.1)
-    space = InnerProductSpace("h1", 1, 1.0)
+    space = "h1"
     alpha = builtin_form("mixed", mesh, cx, stars, seed=7)
-    split = hd.decompose(alpha, space, mesh, cx, stars)
+    split = hd.decompose(alpha, space, cx, stars)
     return mesh, cx, stars, alpha, split
 
 
@@ -78,16 +77,15 @@ def test_criterion_3_adjointness(grid):
     worst = 0.0
     rng = np.random.default_rng(333)
     for (a, rho, h), (mesh, cx, stars) in grid.items():
-        l2 = [InnerProductSpace("l2", k, a) for k in (0, 1, 2)]
         for k in (1, 2):
             nu, nv = cx.simplex_count(k - 1), cx.simplex_count(k)
             for _ in range(100):
                 u = hd.interior_restriction(Cochain(k - 1, rng.standard_normal(nu)), cx)
                 v = hd.interior_restriction(Cochain(k, rng.standard_normal(nv)), cx)
                 du = hd.apply_d(u, cx)
-                lhs = dec.inner(du, v, l2[k], cx, stars)
-                rhs = dec.inner(u, hd.codifferential(v, cx, stars), l2[k - 1], cx, stars)
-                scale = dec.norm(du, l2[k], cx, stars) * dec.norm(v, l2[k], cx, stars)
+                lhs = dec.inner(du, v, "l2", cx, stars)
+                rhs = dec.inner(u, hd.codifferential(v, cx, stars), "l2", cx, stars)
+                scale = dec.norm(du, "l2", cx, stars) * dec.norm(v, "l2", cx, stars)
                 if scale > 0:
                     worst = max(worst, abs(lhs - rhs) / scale)
     report(3, worst <= 1e-12, f"max |(du,v)-(u,dv*)| / (|du||v|) = {worst:.2e} <= 1e-12")
@@ -104,9 +102,8 @@ def test_criterion_4_dense_oracle(discretize):
         assert total <= 200
         alpha = Cochain(1, rng.standard_normal(cx.num_edges))
         for tag in ("l2", "h1"):
-            space = InnerProductSpace(tag, 1, key[0])
-            split = hd.decompose(alpha, space, mesh, cx, stars, SolveConfig(tolerance=1e-12))
-            exact, coexact, gamma = dense_split_oracle(alpha, space, cx, stars)
+            split = hd.decompose(alpha, tag, cx, stars, tol=1e-12)
+            exact, coexact, gamma = dense_split_oracle(alpha, tag, cx, stars)
             scale = np.linalg.norm(alpha.values)
             errs = [
                 np.linalg.norm((cx.d0 @ split.beta.values) - exact),
@@ -140,7 +137,7 @@ def test_criterion_5_decomposition_structure(mixed_run):
 
 def test_criterion_6_harmonic_regression(dx_levels):
     mesh, cx, stars, alpha, split = dx_levels[0.05]
-    l2 = InnerProductSpace("l2", 1, 1.0)
+    l2 = "l2"
     norm_sq = dec.inner(alpha, alpha, l2, cx, stars)
     norm_ok = abs(norm_sq - DX_NORM_SQ_TARGET) <= 0.02 * DX_NORM_SQ_TARGET
 
@@ -152,7 +149,7 @@ def test_criterion_6_harmonic_regression(dx_levels):
     # the interior divergence must strictly decrease
     d_res, s_res = {}, {}
     for h, (m, c2, st, a_h, _) in dx_levels.items():
-        n = dec.norm(a_h, InnerProductSpace("l2", 1, 1.0), c2, st)
+        n = dec.norm(a_h, "l2", c2, st)
         d_res[h] = _interior_l2_norm(hd.apply_d(a_h, c2), c2, st) / n
         s_res[h] = _interior_l2_norm(dec.codifferential(a_h, c2, st), c2, st) / n
     closed_ok = all(v <= 1e-12 for v in d_res.values())
@@ -169,14 +166,13 @@ def test_criterion_6_harmonic_regression(dx_levels):
 
 
 def test_criterion_7_energy_bound(dx_levels, mixed_run, discretize):
-    space = InnerProductSpace("h1", 1, 1.0)
     ratios = []
     # every decomposed gamma at a = 1 from the regression runs
     for h, (m, c2, st, _, split) in dx_levels.items():
-        rep = hd.harmonic_diagnostics(split.gamma, space, c2, st)
+        rep = hd.harmonic_diagnostics(split.gamma, c2, st)
         ratios.append((f"dx h={h}", rep.bound_ratio))
     _, c2, st, _, split = mixed_run
-    rep = hd.harmonic_diagnostics(split.gamma, space, c2, st)
+    rep = hd.harmonic_diagnostics(split.gamma, c2, st)
     ratios.append(("mixed h=0.1", rep.bound_ratio))
     bound_ok = all(r <= (1 + 0.1) / 2 + 1e-9 for _, r in ratios)  # E <= 2c|g|^2 (1+eps)/...
 
@@ -186,8 +182,8 @@ def test_criterion_7_energy_bound(dx_levels, mixed_run, discretize):
     beta0, omega0 = interior_potentials(cx, rng)
     closed = hd.apply_d(beta0, cx)  # exactly closed
     coclosed = dec.codifferential(omega0, cx, stars)  # exactly co-closed
-    rep_c = hd.harmonic_diagnostics(closed, space, cx, stars)
-    rep_cc = hd.harmonic_diagnostics(coclosed, space, cx, stars)
+    rep_c = hd.harmonic_diagnostics(closed, cx, stars)
+    rep_cc = hd.harmonic_diagnostics(coclosed, cx, stars)
     exact_ok = rep_c.d_residual <= 1e-12 and rep_cc.delta_residual <= 1e-12
 
     # the decomposed gammas are exactly closed and co-closed on the test
@@ -216,7 +212,7 @@ def test_criterion_8_stream_constructive(discretize):
                 2, np.where(cx.interior_faces, rng.standard_normal(cx.num_faces), 0.0)
             )
             v = hd.codifferential(omega0, cx, stars)
-            res = hd.stream_function(v, mesh, cx, stars)
+            res = hd.stream_function(v, cx, stars)
             worst_res = max(worst_res, res.residual)
             fmax = max(np.abs(res.f).max(), 1.0)
             worst_f = max(worst_f, np.abs(res.f[~cx.interior_faces]).max() / fmax)
@@ -241,7 +237,7 @@ def test_criterion_9_cutoff_and_truncation(discretize):
         worst_slope = max(worst_slope, slopes.max() * R / 2.0)
         slope_ok = slope_ok and slopes.max() <= 2.0 / R + 1e-12
     gamma = coordinate_form(mesh, cx)
-    space = InnerProductSpace("h1", 1, 1.0)
+    space = "h1"
     dists = [hd.truncation_distance(gamma, R, space, mesh, cx, stars) for R in radii]
     trend_ok = dists[0] > dists[1] > dists[2]
     report(
@@ -267,9 +263,8 @@ def cutoff_dx_form(mesh, cx, scale=0.9):
 
 
 def test_criterion_10_euclidean_regression(discretize):
-    l2 = InnerProductSpace("l2", 1, 0.0)
-    h1 = InnerProductSpace("h1", 1, 0.0)
-    cfg = SolveConfig(tolerance=1e-12)
+    l2 = "l2"
+    h1 = "h1"
     rels, absolutes = {}, {}
     for rho in (2.0, 3.0, 4.0):
         mesh, cx, stars = discretize(0.0, rho, 0.1)
@@ -284,7 +279,7 @@ def test_criterion_10_euclidean_regression(discretize):
         for p in parts:
             total += p.values / dec.norm(p, l2, cx, stars)
         alpha = Cochain(1, total)
-        split = hd.decompose(alpha, l2, mesh, cx, stars, cfg)
+        split = hd.decompose(alpha, l2, cx, stars, tol=1e-12)
         g_h1 = dec.norm(split.gamma, h1, cx, stars)
         rels[rho] = g_h1 / dec.norm(alpha, h1, cx, stars)
         absolutes[rho] = g_h1

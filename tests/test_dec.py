@@ -4,8 +4,7 @@ import scipy.sparse as sp
 
 import hodgedec as hd
 from hodgedec import dec
-from hodgedec.dec import InnerProductSpace, SolveConfig
-from hodgedec.errors import ConvergenceError, DegreeError, MeshQualityError
+from hodgedec.errors import ConfigError, ConvergenceError, DegreeError, MeshQualityError
 from hodgedec.forms import coordinate_form
 from hodgedec.simplicial import Cochain
 
@@ -69,7 +68,6 @@ class TestCodifferential:
     @pytest.mark.parametrize("a", [0.0, 1.0])
     def test_adjointness(self, discretize, rng, a):
         _, cx, stars = discretize(a, 1.0, 0.1)
-        l2 = [InnerProductSpace("l2", k, a) for k in range(3)]
         for k in (1, 2):
             for _ in range(20):
                 u = hd.interior_restriction(
@@ -80,9 +78,9 @@ class TestCodifferential:
                 )
                 du = hd.apply_d(u, cx)
                 dv = hd.codifferential(v, cx, stars)
-                lhs = dec.inner(du, v, l2[k], cx, stars)
-                rhs = dec.inner(u, dv, l2[k - 1], cx, stars)
-                scale = dec.norm(du, l2[k], cx, stars) * dec.norm(v, l2[k], cx, stars)
+                lhs = dec.inner(du, v, "l2", cx, stars)
+                rhs = dec.inner(u, dv, "l2", cx, stars)
+                scale = dec.norm(du, "l2", cx, stars) * dec.norm(v, "l2", cx, stars)
                 assert abs(lhs - rhs) <= 1e-12 * max(scale, 1e-300)
 
 
@@ -91,8 +89,8 @@ class TestInnerProducts:
         # [u,u] = 2 (u,u) + |du|^2 + |delta u|^2 since c = a^2 k (N-k) = 1
         _, cx, stars = discretize(1.0, 1.0, 0.2)
         u = Cochain(1, rng.standard_normal(cx.num_edges))
-        h1 = InnerProductSpace("h1", 1, 1.0)
-        l2 = InnerProductSpace("l2", 1, 1.0)
+        h1 = "h1"
+        l2 = "l2"
         du = hd.apply_d(u, cx)
         su = hd.codifferential(u, cx, stars)
         manual = (
@@ -101,15 +99,15 @@ class TestInnerProducts:
             + float(np.dot(su.values, (stars.star0 * cx.interior_vertices) * su.values))
         )
         assert dec.inner(u, u, h1, cx, stars) == pytest.approx(manual, rel=1e-13)
-        assert h1.curvature_constant == 1.0
+        assert dec.curvature_constant(stars.curvature, 1) == 1.0
 
     def test_flat_h1_reduces_to_curl_div_form(self, discretize, rng):
         _, cx, stars = discretize(0.0, 1.0, 0.2)
-        h1 = InnerProductSpace("h1", 1, 0.0)
-        assert h1.curvature_constant == 0.0
+        h1 = "h1"
+        assert dec.curvature_constant(stars.curvature, 1) == 0.0
         u = Cochain(1, rng.standard_normal(cx.num_edges))
         v = Cochain(1, rng.standard_normal(cx.num_edges))
-        l2 = InnerProductSpace("l2", 1, 0.0)
+        l2 = "l2"
         du, dv = hd.apply_d(u, cx), hd.apply_d(v, cx)
         su, sv = hd.codifferential(u, cx, stars), hd.codifferential(v, cx, stars)
         manual = (
@@ -120,8 +118,8 @@ class TestInnerProducts:
         assert dec.inner(u, v, h1, cx, stars) == pytest.approx(manual, rel=1e-12)
 
     def test_degenerate_degree_constants(self):
-        assert InnerProductSpace("h1", 0, 2.0).curvature_constant == 0.0
-        assert InnerProductSpace("h1", 2, 2.0).curvature_constant == 0.0
+        assert dec.curvature_constant(2.0, 0) == 0.0
+        assert dec.curvature_constant(2.0, 2) == 0.0
 
     def test_degree_mismatch_rejected(self, discretize):
         _, cx, stars = discretize(0.0, 1.0, 0.2)
@@ -129,23 +127,30 @@ class TestInnerProducts:
             dec.inner(
                 Cochain(0, np.zeros(cx.num_vertices)),
                 Cochain(1, np.zeros(cx.num_edges)),
-                InnerProductSpace("l2", 0, 0.0),
+                "l2",
                 cx,
                 stars,
             )
 
+    def test_unknown_space_rejected(self, discretize):
+        _, cx, stars = discretize(0.0, 1.0, 0.2)
+        u = Cochain(1, np.zeros(cx.num_edges))
+        for space in ("h2", "H1", ""):
+            with pytest.raises(ConfigError, match="space"):
+                dec.inner(u, u, space, cx, stars)
+
     def test_h1_dominates_l2(self, discretize, rng):
         _, cx, stars = discretize(1.0, 1.0, 0.2)
         u = Cochain(1, rng.standard_normal(cx.num_edges))
-        h1 = InnerProductSpace("h1", 1, 1.0)
-        l2 = InnerProductSpace("l2", 1, 1.0)
+        h1 = "h1"
+        l2 = "l2"
         uu = dec.inner(u, u, l2, cx, stars)
         assert dec.inner(u, u, h1, cx, stars) >= uu > 0
 
     def test_sampled_dx_l2_norm(self, discretize):
         mesh, cx, stars = discretize(1.0, 3.0, 0.1)
         dx = coordinate_form(mesh, cx)
-        l2 = InnerProductSpace("l2", 1, 1.0)
+        l2 = "l2"
         assert dec.inner(dx, dx, l2, cx, stars) == pytest.approx(DX_NORM_SQ_RHO3, rel=0.02)
 
 
@@ -184,7 +189,7 @@ class TestLaplacians:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_l2_self_adjoint(self, discretize, rng, k):
         _, cx, stars = discretize(1.0, 1.0, 0.1)
-        l2 = InnerProductSpace("l2", k, 1.0)
+        l2 = "l2"
         n = cx.simplex_count(k)
         u, v = Cochain(k, rng.standard_normal(n)), Cochain(k, rng.standard_normal(n))
         lu, lv = hd.hodge_laplacian(u, cx, stars), hd.hodge_laplacian(v, cx, stars)
@@ -195,14 +200,13 @@ class TestLaplacians:
 
     def test_bochner_shifts_by_curvature_constant(self, discretize, rng):
         _, cx, stars = discretize(1.0, 1.0, 0.2)
-        space = InnerProductSpace("h1", 1, 1.0)
         u = Cochain(1, rng.standard_normal(cx.num_edges))
         lap = hd.hodge_laplacian(u, cx, stars)
-        boc = hd.bochner(u, space, cx, stars)
+        boc = hd.bochner(u, cx, stars)
         scale = np.abs(lap.values).max() + np.abs(u.values).max()
         np.testing.assert_allclose(
             boc.values - lap.values,
-            space.curvature_constant * u.values,
+            dec.curvature_constant(1.0, 1) * u.values,
             atol=1e-12 * scale,
         )
 
@@ -210,14 +214,13 @@ class TestLaplacians:
         # for gamma with d gamma = delta gamma = 0 on the test region, the
         # rough Laplacian reduces to c * gamma there
         mesh, cx, stars = discretize(1.0, 2.0, 0.1)
-        space = InnerProductSpace("h1", 1, 1.0)
         dx = coordinate_form(mesh, cx)
-        split = hd.decompose(dx, space, mesh, cx, stars)
+        split = hd.decompose(dx, "h1", cx, stars)
         gamma = split.gamma
-        boc = hd.bochner(gamma, space, cx, stars)
+        boc = hd.bochner(gamma, cx, stars)
         rho = hd.radial_distance(mesh.vertices, 1.0)
         deep = (rho[cx.edges[:, 0]] < 2.0 - 0.25) & (rho[cx.edges[:, 1]] < 2.0 - 0.25)
-        resid = boc.values[deep] - space.curvature_constant * gamma.values[deep]
+        resid = boc.values[deep] - dec.curvature_constant(1.0, 1) * gamma.values[deep]
         assert np.abs(resid).max() <= 1e-6 * np.abs(gamma.values).max()
 
 
@@ -235,7 +238,7 @@ class TestSampledHarmonicForm:
         for h in (0.2, 0.1):
             mesh, cx, stars = discretize(1.0, 2.0, h)
             dx = coordinate_form(mesh, cx)
-            l2 = InnerProductSpace("l2", 1, 1.0)
+            l2 = "l2"
             norms[h] = _interior_l2_norm(
                 hd.codifferential(dx, cx, stars), cx, stars
             ) / dec.norm(dx, l2, cx, stars)
@@ -259,7 +262,7 @@ class TestSolver:
         A = m @ m.T + 50 * np.eye(50)
         b = rng.standard_normal(50)
         expected = np.linalg.solve(A, b)
-        res = dec.solve_spd(sp.csr_matrix(A), b, SolveConfig(tolerance=1e-12))
+        res = dec.solve_spd(sp.csr_matrix(A), b, tol=1e-12)
         assert np.linalg.norm(res.x - expected) <= 1e-8 * np.linalg.norm(expected)
         assert res.residual <= 1e-12
 
@@ -267,13 +270,19 @@ class TestSolver:
         res = dec.solve_spd(sp.identity(5, format="csr"), np.zeros(5))
         assert np.all(res.x == 0.0) and res.iterations == 0
 
-    def test_budget_exhaustion_reports_residual(self, rng):
+    def test_budget_exhaustion_reports_residual(self, rng, monkeypatch):
         m = rng.standard_normal((40, 40))
         A = sp.csr_matrix(m @ m.T + 0.01 * np.eye(40))
+        monkeypatch.setattr(dec, "MAX_CG_ITERATIONS", 2)
         with pytest.raises(ConvergenceError) as err:
-            dec.solve_spd(A, rng.standard_normal(40), SolveConfig(max_iterations=2))
+            dec.solve_spd(A, rng.standard_normal(40))
         assert err.value.iterations == 2
         assert err.value.residual > 0
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, 1.0, float("inf")])
+    def test_tolerance_outside_unit_interval_rejected(self, tol):
+        with pytest.raises(ConfigError, match="tolerance"):
+            dec.solve_spd(sp.identity(3, format="csr"), np.ones(3), tol=tol)
 
     def test_deterministic_repeat(self, rng):
         m = rng.standard_normal((30, 30))

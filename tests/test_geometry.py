@@ -310,6 +310,14 @@ class TestBallMeshLimits:
         with pytest.raises(ConfigError, match="underflows"):
             hd.ball_mesh(5e-324, 1.0, 0.5)
 
+    @pytest.mark.parametrize("a", [1e-200, 1e-160])
+    def test_underflowing_squared_scale_rejected(self, monkeypatch, a):
+        # coordinates are about a h and the audit's cross products about (a h)^2,
+        # which underflows while a h is still a normal float
+        monkeypatch.setattr(geometry, "_place_rings", unreachable_placement)
+        with pytest.raises(ConfigError, match="use curvature 0"):
+            hd.ball_mesh(a, 1.0, 0.2)
+
     @pytest.mark.parametrize("a, rho, h", [
         (0.0, 1.5e308, 1e308),  # the second ring would sit at radius inf
         (0.0, 1e200, 1e199),  # squared lengths overflow, so no cotangent is finite
@@ -324,11 +332,18 @@ class TestBallMeshLimits:
         with pytest.raises(ConfigError, match="finite"):
             hd.TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [np.nan, 1.0]]), np.array([[0, 1, 2]]), 0.0)
 
+    @pytest.mark.parametrize("triangles", [[[0, 1, 0.5]], [[0, 1, -1]], [[0, 1, 3]], [[0, 1, 2**63]]])
+    def test_triangle_indices_must_be_vertex_integers(self, triangles):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ConfigError, match="triangle indices"):
+            hd.TriMesh(verts, np.array(triangles), 0.0)
+
     @pytest.mark.parametrize("argv", [
         ["--curvature", "1", "--radius", "inf", "--edge", "0.2"],
         ["--curvature", "1", "--radius", "1000", "--edge", "1000"],
         ["--curvature", "nan", "--radius", "1", "--edge", "0.2"],
         ["--curvature", "50", "--radius", "1", "--edge", "0.2"],
+        ["--curvature", "1e-200", "--radius", "1", "--edge", "0.2"],
     ])
     def test_cli_exit_code(self, monkeypatch, tmp_path, capsys, argv):
         from hodgedec.cli import main

@@ -3,7 +3,6 @@ import pytest
 
 import hodgedec as hd
 from hodgedec import dec
-from hodgedec.dec import InnerProductSpace, SolveConfig
 from hodgedec.errors import ConfigError, DomainError, PreconditionError
 from hodgedec.forms import builtin_form, coordinate_form
 from hodgedec.hodge import _interior_l2_norm, _optimality_terms, _potential_maps
@@ -27,16 +26,7 @@ def dense_split_oracle(alpha, space, cx, stars):
     m2 = s2 * cx.interior_faces
     d0 = cx.d0.toarray().astype(float)
     d1 = cx.d1.toarray().astype(float)
-    c = space.curvature_constant
-
-    def pair(u, v):
-        out = float(u @ (s1 * v))
-        if space.tag == "h1":
-            out = (1 + c) * out
-            out += float((d1 @ u) @ (m2 * (d1 @ v)))
-            du = (d0.T * s1) @ u / 1.0  # placeholder, replaced below
-            return out
-        return out
+    c = stars.curvature**2  # a^2 k (N - k) at k = 1, N = 2
 
     # delta on 1-forms and 2-forms as dense matrices
     delta1 = np.diag(1.0 / s0) @ d0.T @ np.diag(s1)
@@ -44,7 +34,7 @@ def dense_split_oracle(alpha, space, cx, stars):
 
     def inner_pair(u, v):
         out = float(u @ (s1 * v))
-        if space.tag == "h1":
+        if space == "h1":
             out = (1 + c) * out
             out += float((d1 @ u) @ (m2 * (d1 @ v)))
             out += float((delta1 @ u) @ (m0 * (delta1 @ v)))
@@ -85,8 +75,7 @@ class TestDecompose:
         mesh, cx, stars = discretize(1.0, 1.0, 0.1)
         beta0, _ = interior_potentials(cx, rng)
         alpha = hd.apply_d(beta0, cx)
-        space = InnerProductSpace(tag, 1, 1.0)
-        split = hd.decompose(alpha, space, mesh, cx, stars)
+        split = hd.decompose(alpha, tag, cx, stars)
         d = split.diagnostics
         assert d.norm_gamma <= 1e-8 * d.norm_alpha
         assert d.norm_coexact <= 1e-8 * d.norm_alpha
@@ -96,8 +85,7 @@ class TestDecompose:
         mesh, cx, stars = discretize(1.0, 1.0, 0.1)
         _, omega0 = interior_potentials(cx, rng)
         alpha = hd.codifferential(omega0, cx, stars)
-        space = InnerProductSpace(tag, 1, 1.0)
-        split = hd.decompose(alpha, space, mesh, cx, stars)
+        split = hd.decompose(alpha, tag, cx, stars)
         d = split.diagnostics
         assert d.norm_gamma <= 1e-8 * d.norm_alpha
         assert d.norm_exact <= 1e-8 * d.norm_alpha
@@ -109,9 +97,8 @@ class TestDecompose:
         total = cx.num_vertices + cx.num_edges + cx.num_faces
         assert total <= 200
         alpha = Cochain(1, rng.standard_normal(cx.num_edges))
-        space = InnerProductSpace(tag, 1, key[0])
-        split = hd.decompose(alpha, space, mesh, cx, stars, SolveConfig(tolerance=1e-12))
-        exact, coexact, gamma = dense_split_oracle(alpha, space, cx, stars)
+        split = hd.decompose(alpha, tag, cx, stars, tol=1e-12)
+        exact, coexact, gamma = dense_split_oracle(alpha, tag, cx, stars)
         scale = np.linalg.norm(alpha.values)
         d_beta = cx.d0 @ split.beta.values
         d_omega = dec.codifferential(split.omega, cx, stars).values
@@ -122,8 +109,8 @@ class TestDecompose:
     def test_reconstruction_and_orthogonality(self, discretize, rng):
         mesh, cx, stars = discretize(1.0, 1.5, 0.15)
         alpha = builtin_form("mixed", mesh, cx, stars, seed=5)
-        space = InnerProductSpace("h1", 1, 1.0)
-        split = hd.decompose(alpha, space, mesh, cx, stars)
+        space = "h1"
+        split = hd.decompose(alpha, space, cx, stars)
         d = split.diagnostics
         assert d.reconstruction_residual <= 10 * 1e-10
         assert d.orthogonality_defect() <= 1e-8
@@ -132,9 +119,9 @@ class TestDecompose:
     def test_idempotent_on_harmonic_part(self, discretize):
         mesh, cx, stars = discretize(1.0, 1.5, 0.15)
         alpha = builtin_form("mixed", mesh, cx, stars, seed=5)
-        space = InnerProductSpace("h1", 1, 1.0)
-        split = hd.decompose(alpha, space, mesh, cx, stars)
-        again = hd.decompose(split.gamma, space, mesh, cx, stars)
+        space = "h1"
+        split = hd.decompose(alpha, space, cx, stars)
+        again = hd.decompose(split.gamma, space, cx, stars)
         assert again.diagnostics.norm_exact <= 1e-6 * split.diagnostics.norm_gamma
         assert again.diagnostics.norm_coexact <= 1e-6 * split.diagnostics.norm_gamma
         drift = np.linalg.norm(again.gamma.values - split.gamma.values)
@@ -146,9 +133,8 @@ class TestDecompose:
         # one solve path returns the same bits for both
         mesh, cx, stars = discretize(1.0, 1.5, 0.15)
         alpha = builtin_form("mixed", mesh, cx, stars, seed=5)
-        cfg = SolveConfig(tolerance=1e-12)
-        s_l2 = hd.decompose(alpha, InnerProductSpace("l2", 1, 1.0), mesh, cx, stars, cfg)
-        s_h1 = hd.decompose(alpha, InnerProductSpace("h1", 1, 1.0), mesh, cx, stars, cfg)
+        s_l2 = hd.decompose(alpha, "l2", cx, stars, tol=1e-12)
+        s_h1 = hd.decompose(alpha, "h1", cx, stars, tol=1e-12)
         for part in ("beta", "omega", "gamma"):
             np.testing.assert_array_equal(getattr(s_l2, part).values, getattr(s_h1, part).values)
         assert s_l2.diagnostics.iterations == s_h1.diagnostics.iterations
@@ -156,7 +142,7 @@ class TestDecompose:
     def test_reconstruction_residual_detects_perturbed_gamma(self, discretize):
         mesh, cx, stars = discretize(1.0, 1.0, 0.2)
         alpha = builtin_form("mixed", mesh, cx, stars, seed=5)
-        split = hd.decompose(alpha, InnerProductSpace("l2", 1, 1.0), mesh, cx, stars)
+        split = hd.decompose(alpha, "l2", cx, stars)
         _, _, P, Q = _potential_maps(cx, stars)
         scales = _optimality_terms(np.abs(alpha.values), abs(P), abs(Q), stars.star1)
 
@@ -173,9 +159,9 @@ class TestDecompose:
     def test_gamma_interior_harmonic_by_optimality(self, discretize):
         mesh, cx, stars = discretize(1.0, 1.5, 0.15)
         alpha = builtin_form("mixed", mesh, cx, stars, seed=5)
-        space = InnerProductSpace("h1", 1, 1.0)
-        split = hd.decompose(alpha, space, mesh, cx, stars)
-        l2 = InnerProductSpace("l2", 1, 1.0)
+        space = "h1"
+        split = hd.decompose(alpha, space, cx, stars)
+        l2 = "l2"
         scale = dec.norm(split.gamma, l2, cx, stars)
         assert _interior_l2_norm(hd.apply_d(split.gamma, cx), cx, stars) <= 1e-6 * scale
         assert (
@@ -190,8 +176,7 @@ class TestDecompose:
         with pytest.raises(ConfigError):
             hd.decompose(
                 Cochain(1, np.zeros(cx.num_edges)),
-                InnerProductSpace("l2", 1, 0.0),
-                mesh,
+                "l2",
                 cx,
                 stars,
             )
@@ -202,7 +187,7 @@ class TestDecompose:
         for rho in (2.0, 3.0):
             mesh, cx, stars = discretize(1.0, rho, 0.2)
             dx = coordinate_form(mesh, cx)
-            split = hd.decompose(dx, InnerProductSpace("h1", 1, 1.0), mesh, cx, stars)
+            split = hd.decompose(dx, "h1", cx, stars)
             d = split.diagnostics
             assert d.norm_gamma**2 / d.norm_alpha**2 >= 0.9
 
@@ -211,7 +196,7 @@ class TestHarmonicDiagnostics:
     def test_zero_input_degenerate(self, discretize):
         _, cx, stars = discretize(1.0, 1.0, 0.2)
         rep = hd.harmonic_diagnostics(
-            Cochain(1, np.zeros(cx.num_edges)), InnerProductSpace("h1", 1, 1.0), cx, stars
+            Cochain(1, np.zeros(cx.num_edges)), cx, stars
         )
         assert rep.degenerate and rep.bound_ratio is None
 
@@ -221,8 +206,7 @@ class TestHarmonicDiagnostics:
         _, cx, stars = discretize(1.0, 1.0, 0.1)
         _, omega0 = interior_potentials(cx, rng)
         v = hd.codifferential(omega0, cx, stars)
-        space = InnerProductSpace("h1", 1, 1.0)
-        rep = hd.harmonic_diagnostics(v, space, cx, stars)
+        rep = hd.harmonic_diagnostics(v, cx, stars)
         d_sq = _interior_l2_norm(hd.apply_d(v, cx), cx, stars) ** 2
         assert rep.delta_residual <= 1e-12
         assert rep.energy == pytest.approx(d_sq + rep.curvature_constant * rep.norm_l2_sq, rel=1e-12)
@@ -231,8 +215,7 @@ class TestHarmonicDiagnostics:
         _, cx, stars = discretize(1.0, 1.0, 0.1)
         beta0, _ = interior_potentials(cx, rng)
         u = hd.apply_d(beta0, cx)
-        space = InnerProductSpace("h1", 1, 1.0)
-        rep = hd.harmonic_diagnostics(u, space, cx, stars)
+        rep = hd.harmonic_diagnostics(u, cx, stars)
         s_sq = _interior_l2_norm(dec.codifferential(u, cx, stars), cx, stars) ** 2
         assert rep.d_residual <= 1e-12
         assert rep.energy == pytest.approx(s_sq + rep.curvature_constant * rep.norm_l2_sq, rel=1e-12)
@@ -240,9 +223,9 @@ class TestHarmonicDiagnostics:
     def test_harmonic_remainder_sits_at_half_bound(self, discretize):
         mesh, cx, stars = discretize(1.0, 2.0, 0.1)
         dx = coordinate_form(mesh, cx)
-        space = InnerProductSpace("h1", 1, 1.0)
-        split = hd.decompose(dx, space, mesh, cx, stars)
-        rep = hd.harmonic_diagnostics(split.gamma, space, cx, stars)
+        space = "h1"
+        split = hd.decompose(dx, space, cx, stars)
+        rep = hd.harmonic_diagnostics(split.gamma, cx, stars)
         assert rep.bound_ratio == pytest.approx(0.5, abs=1e-6)
         assert rep.bound_ratio <= 1.0
 
@@ -250,9 +233,9 @@ class TestHarmonicDiagnostics:
         # a = 0 and exactly harmonic: all three energy terms vanish
         mesh, cx, stars = discretize(0.0, 1.0, 0.1)
         alpha = builtin_form("mixed", mesh, cx, stars, seed=2)
-        space = InnerProductSpace("h1", 1, 0.0)
-        split = hd.decompose(alpha, space, mesh, cx, stars)
-        rep = hd.harmonic_diagnostics(split.gamma, space, cx, stars)
+        space = "h1"
+        split = hd.decompose(alpha, space, cx, stars)
+        rep = hd.harmonic_diagnostics(split.gamma, cx, stars)
         assert rep.curvature_constant == 0.0
         assert rep.bound_ratio is None
         assert rep.energy <= 1e-10 * rep.norm_l2_sq
@@ -261,7 +244,7 @@ class TestHarmonicDiagnostics:
 class TestStreamFunction:
     def test_zero_input(self, discretize):
         mesh, cx, stars = discretize(1.0, 1.0, 0.2)
-        res = hd.stream_function(Cochain(1, np.zeros(cx.num_edges)), mesh, cx, stars)
+        res = hd.stream_function(Cochain(1, np.zeros(cx.num_edges)), cx, stars)
         assert np.all(res.f == 0.0) and res.residual == 0.0
 
     def test_roundtrip_coexact(self, discretize, rng):
@@ -270,7 +253,7 @@ class TestStreamFunction:
             r = np.random.default_rng(seed)
             omega0 = Cochain(2, np.where(cx.interior_faces, r.standard_normal(cx.num_faces), 0.0))
             v = hd.codifferential(omega0, cx, stars)
-            res = hd.stream_function(v, mesh, cx, stars)
+            res = hd.stream_function(v, cx, stars)
             assert res.residual <= 1e-10
             collar = ~cx.interior_faces
             fmax = np.abs(res.f).max()
@@ -281,19 +264,19 @@ class TestStreamFunction:
         mesh, cx, stars = discretize(1.0, 1.0, 0.1)
         omega0 = Cochain(2, np.where(cx.interior_faces, rng.standard_normal(cx.num_faces), 0.0))
         v = hd.codifferential(omega0, cx, stars)
-        res = hd.stream_function(v, mesh, cx, stars)
+        res = hd.stream_function(v, cx, stars)
         np.testing.assert_allclose(stars.star2 * res.omega.values, res.f, atol=1e-12)
 
     def test_not_coclosed_names_vertex(self, discretize):
         mesh, cx, stars = discretize(0.0, 1.0, 0.2)
         bad = hd.interior_restriction(hd.apply_d(Cochain(0, mesh.vertices[:, 0]), cx), cx)
         with pytest.raises(PreconditionError, match="vertex"):
-            hd.stream_function(bad, mesh, cx, stars)
+            hd.stream_function(bad, cx, stars)
 
     def test_collar_support_required(self, discretize):
         mesh, cx, stars = discretize(0.0, 1.0, 0.2)
         with pytest.raises(PreconditionError, match="collar"):
-            hd.stream_function(Cochain(1, np.ones(cx.num_edges)), mesh, cx, stars)
+            hd.stream_function(Cochain(1, np.ones(cx.num_edges)), cx, stars)
 
 
 def _coexact_with_nan(discretize):
@@ -304,7 +287,7 @@ def _coexact_with_nan(discretize):
 
 
 def _no_work(*args, **kwargs):
-    raise AssertionError("a non-finite cochain reached the numerics")
+    raise AssertionError("a rejected input reached the numerics")
 
 
 class TestNonFiniteCochains:
@@ -313,32 +296,51 @@ class TestNonFiniteCochains:
         monkeypatch.setattr(hd.hodge, "_potential_maps", _no_work)
         for tag in ("l2", "h1"):
             with pytest.raises(ConfigError, match="finite"):
-                hd.decompose(alpha, InnerProductSpace(tag, 1, 1.0), mesh, cx, stars)
+                hd.decompose(alpha, tag, cx, stars)
 
     def test_stream_function_rejects_nan(self, discretize, monkeypatch):
         v, mesh, cx, stars = _coexact_with_nan(discretize)
         monkeypatch.setattr(hd.hodge, "_coclosedness_residual", _no_work)
         with pytest.raises(ConfigError, match="finite"):
-            hd.stream_function(v, mesh, cx, stars)
+            hd.stream_function(v, cx, stars)
 
     def test_truncation_distance_rejects_nan(self, discretize):
         gamma, mesh, cx, stars = _coexact_with_nan(discretize)
         with pytest.raises(ConfigError, match="finite"):
-            hd.truncation_distance(gamma, 1.2, InnerProductSpace("h1", 1, 1.0), mesh, cx, stars)
+            hd.truncation_distance(gamma, 1.2, "h1", mesh, cx, stars)
 
     def test_wrong_length_rejected(self, discretize):
         mesh, cx, stars = discretize(1.0, 1.0, 0.2)
         short = Cochain(1, np.zeros(cx.num_edges - 1))
         with pytest.raises(ConfigError, match="edge values"):
-            hd.stream_function(short, mesh, cx, stars)
+            hd.stream_function(short, cx, stars)
         with pytest.raises(ConfigError, match="edge values"):
-            hd.decompose(short, InnerProductSpace("l2", 1, 1.0), mesh, cx, stars)
+            hd.decompose(short, "l2", cx, stars)
+
+
+class TestRunParameters:
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, 1.0])
+    def test_tolerance_outside_unit_interval_rejected(self, discretize, monkeypatch, tol):
+        mesh, cx, stars = discretize(1.0, 1.0, 0.2)
+        alpha = builtin_form("coexact", mesh, cx, stars, seed=2)
+        monkeypatch.setattr(hd.hodge, "_coclosedness_residual", _no_work)
+        with pytest.raises(ConfigError, match="tolerance"):
+            hd.decompose(alpha, "h1", cx, stars, tol=tol)
+        with pytest.raises(ConfigError, match="tolerance"):
+            hd.stream_function(alpha, cx, stars, tol=tol)
+
+    def test_unknown_space_rejected_before_solving(self, discretize, monkeypatch):
+        mesh, cx, stars = discretize(1.0, 1.0, 0.2)
+        alpha = builtin_form("mixed", mesh, cx, stars, seed=2)
+        monkeypatch.setattr(hd.hodge, "_potential_maps", _no_work)
+        with pytest.raises(ConfigError, match="space"):
+            hd.decompose(alpha, "h2", cx, stars)
 
 
 class TestTruncation:
     def test_zero_gamma(self, discretize):
         mesh, cx, stars = discretize(1.0, 3.0, 0.2)
-        space = InnerProductSpace("h1", 1, 1.0)
+        space = "h1"
         assert hd.truncation_distance(Cochain(1, np.zeros(cx.num_edges)), 1.2, space, mesh, cx, stars) == 0.0
 
     def test_supported_inside_cutoff(self, discretize):
@@ -346,12 +348,12 @@ class TestTruncation:
         rho = hd.radial_distance(mesh.vertices, 1.0)
         inside = (rho[cx.edges[:, 0]] <= 1.0) & (rho[cx.edges[:, 1]] <= 1.0)
         gamma = Cochain(1, np.where(inside, 1.0, 0.0))
-        space = InnerProductSpace("l2", 1, 1.0)
+        space = "l2"
         assert hd.truncation_distance(gamma, 1.2, space, mesh, cx, stars) == 0.0
 
     def test_domain_checks(self, discretize):
         mesh, cx, stars = discretize(1.0, 3.0, 0.2)
-        space = InnerProductSpace("l2", 1, 1.0)
+        space = "l2"
         g = Cochain(1, np.zeros(cx.num_edges))
         with pytest.raises(DomainError):
             hd.truncation_distance(g, 1.0, space, mesh, cx, stars)
@@ -361,7 +363,7 @@ class TestTruncation:
     def test_distances_decrease_and_bracket_tail_mass(self, discretize):
         mesh, cx, stars = discretize(1.0, 6.0, 0.2)
         dx = coordinate_form(mesh, cx)
-        space = InnerProductSpace("l2", 1, 1.0)
+        space = "l2"
         rho = hd.radial_distance(mesh.vertices, 1.0)
 
         def tail(r):

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hodgedec as hd
-from hodgedec import geometry, io
+from hodgedec import geometry, io, weitzenbock
 from hodgedec.cli import main
 from hodgedec.errors import ChecksumError
 from hodgedec.simplicial import Cochain
@@ -80,7 +81,7 @@ class TestCli:
         assert stream["residual"] <= 1e-10
 
     @pytest.mark.parametrize("command", ["decompose", "stream"])
-    @pytest.mark.parametrize("defect", ["nan", "short", "degree"])
+    @pytest.mark.parametrize("defect", ["nan", "short", "degree", "huge"])
     def test_malformed_cochain_is_validation_error(self, small_mesh, tmp_path, command, defect):
         mesh, cx, stars, path = small_mesh
         values = hd.builtin_form("coexact", mesh, cx, stars, seed=2).values.copy()
@@ -89,10 +90,14 @@ class TestCli:
             values[np.flatnonzero(cx.interior_edges)[0]] = np.nan
         elif defect == "short":
             values = values[:-1]
+        elif defect == "huge":  # finite, but every squared norm overflows
+            values *= 1e300
         else:
             degree, values = 2, np.zeros(cx.num_faces)
         form_path = tmp_path / "form.json"
-        io.save_cochain(Cochain(degree, values), mesh, form_path)
+        # written directly: io.save_json refuses the NaN
+        form_path.write_text(json.dumps({"degree": degree, "values": values.tolist(),
+                                         "mesh_checksum": io.mesh_checksum(mesh)}))
         out = tmp_path / "out.json"
         argv = [command, "--mesh", str(path), "--form", str(form_path), "--out", str(out)]
         assert main(argv) == 1
@@ -174,6 +179,163 @@ class TestCli:
                      "--radius", "3", "--edge", "0.15", "--form", "builtin:dx",
                      "--out", str(tmp_path / "t.json")])
         assert code == 1
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a rejected run reached the numerics")
+
+
+class TestRunParameters:
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "1"])
+    @pytest.mark.parametrize("command", ["decompose", "stream"])
+    def test_tolerance_outside_unit_interval(self, small_mesh, tmp_path, capsys, command, tol):
+        path = small_mesh[3]
+        out = tmp_path / "out.json"
+        argv = [command, "--mesh", str(path), "--form", "builtin:coexact", f"--tol={tol}",
+                "--out", str(out)]
+        assert main(argv) == 1
+        assert "tolerance" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("levels", ["0", "-3"])
+    def test_convergence_needs_a_level(self, tmp_path, monkeypatch, levels):
+        monkeypatch.setattr(geometry, "_place_rings", unreachable_placement)
+        out = tmp_path / "conv.csv"
+        assert main(["convergence", "--curvature", "1", "--radius", "1", f"--levels={levels}",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("radii", ["", ","])
+    def test_truncate_needs_a_radius(self, small_mesh, tmp_path, radii):
+        out = tmp_path / "trunc.json"
+        assert main(["truncate", f"--radii={radii}", "--mesh", str(small_mesh[3]),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("max_dim, trials", [(1, 5), (7, 5), (5, 0), (5, -2)])
+    def test_verify_tensor_needs_pairs_and_trials(self, tmp_path, monkeypatch, max_dim, trials):
+        monkeypatch.setattr(weitzenbock, "random_context", _unreachable)
+        with pytest.raises(hd.ConfigError):
+            weitzenbock.run_verification(max_dim=max_dim, trials=trials)
+        out = tmp_path / "verify.json"
+        assert main(["verify-tensor", f"--max-dim={max_dim}", f"--trials={trials}",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
+
+def _valid_files(directory):
+    """A small mesh file and a degree-1 cochain file that belongs to it."""
+    mesh = hd.ball_mesh(1.0, 0.6, 0.2)
+    cx = hd.build_complex(mesh)
+    stars = hd.assemble_stars(mesh, cx)
+    mesh_path, form_path = directory / "mesh.json", directory / "form.json"
+    io.save_mesh(mesh, mesh_path)
+    io.save_cochain(hd.builtin_form("coexact", mesh, cx, stars, seed=1), mesh, form_path)
+    return mesh_path, form_path
+
+
+def _run_on(mesh_path, form, tmp_path, command="decompose"):
+    out = tmp_path / "out.json"
+    code = main([command, "--mesh", str(mesh_path), "--form", form, "--out", str(out)])
+    return code, out
+
+
+class TestMalformedFiles:
+    @pytest.mark.parametrize("target, edit", [
+        ("mesh", lambda d: [d]),
+        ("mesh", lambda d: {**d, "curvature": [1]}),
+        ("mesh", lambda d: {**d, "curvature": True}),
+        ("mesh", lambda d: {**d, "curvature": 10**400}),
+        ("mesh", lambda d: {**d, "vertices": [[10**400, 0]] + d["vertices"][1:]}),
+        # int() would truncate the index back to a valid mesh
+        ("mesh", lambda d: {**d, "triangles": [d["triangles"][0][:2] + [d["triangles"][0][2] + 0.5]]
+                            + d["triangles"][1:]}),
+        ("cochain", lambda d: [d]),
+        ("cochain", lambda d: {**d, "degree": [1]}),
+        ("cochain", lambda d: {**d, "degree": 1.7}),
+        ("cochain", lambda d: {**d, "degree": True}),
+        ("cochain", lambda d: {**d, "values": {"0": 1.0}}),
+    ], ids=["mesh-list", "curvature-list", "curvature-bool", "curvature-huge-int",
+            "vertex-huge-int", "triangle-half",
+            "cochain-list", "degree-list", "degree-float", "degree-bool", "values-object"])
+    def test_rejected_with_exit_1(self, tmp_path, capsys, target, edit):
+        mesh_path, form_path = _valid_files(tmp_path)
+        path = mesh_path if target == "mesh" else form_path
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        code, out = _run_on(mesh_path, str(form_path), tmp_path)
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(), st.text(max_size=4),
+    st.sampled_from([0.5, -1, 0, 1, 2, 1e308, -1e-300]),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+_FIELDS = {
+    "mesh": ["curvature", "vertices", "triangles", "provenance"],
+    "cochain": ["degree", "values", "mesh_checksum"],
+}
+
+
+def _mutate(data, key, kind, value, index):
+    """data with one field replaced, deleted, or one entry of it replaced."""
+    if kind == "top":
+        return value
+    data = copy.deepcopy(data)
+    if kind == "delete":
+        del data[key]
+    elif kind == "entry" and isinstance(data[key], list) and data[key]:
+        field = data[key]
+        i = index % len(field)
+        if isinstance(field[i], list):
+            field[i][index % len(field[i])] = value
+        else:
+            field[i] = value
+    else:
+        data[key] = value
+    return data
+
+
+def _all_finite(obj):
+    if isinstance(obj, dict):
+        return all(_all_finite(v) for v in obj.values())
+    if isinstance(obj, list):
+        return all(_all_finite(v) for v in obj)
+    return not isinstance(obj, float) or math.isfinite(obj)
+
+
+class TestMalformedFileProperty:
+    @settings(settings.get_profile("cli"))
+    @given(
+        target=st.sampled_from(sorted(_FIELDS)),
+        command=st.sampled_from(["decompose", "stream"]),
+        field_index=st.integers(0, 3),
+        kind=st.sampled_from(["value", "entry", "delete", "top"]),
+        value=_json_values,
+        index=st.integers(0, 10**6),
+    )
+    def test_one_mutated_field_ends_cleanly(
+        self, tmp_path_factory, target, command, field_index, kind, value, index
+    ):
+        tmp_path = tmp_path_factory.mktemp("files")
+        mesh_path, form_path = _valid_files(tmp_path)
+        path = mesh_path if target == "mesh" else form_path
+        fields = _FIELDS[target]
+        data = _mutate(json.loads(path.read_text()), fields[field_index % len(fields)], kind, value, index)
+        path.write_text(json.dumps(data))
+        form = str(form_path) if target == "cochain" else "builtin:coexact"
+        code, out = _run_on(mesh_path, form, tmp_path, command)
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert _all_finite(json.loads(out.read_text()))
+        else:
+            assert not out.exists()
 
 
 # valid draws stay small (at most 20 rings, a * rho <= 5, a few thousand vertices)
