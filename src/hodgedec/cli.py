@@ -92,18 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_form(name: str, mesh, cx, stars, seed: int):
+def _load_form(name: str, mesh, cx, stars, seed: int, checksum=None):
+    """A builtin form, or a cochain file checked against `checksum` (the mesh's if None)."""
     if name.startswith("builtin:"):
         return forms.builtin_form(name.split(":", 1)[1], mesh, cx, stars, seed=seed)
-    return io.load_cochain(name, mesh)
+    return io.load_cochain(name, checksum or io.mesh_checksum(mesh))
 
 
-def _base_report(args, mesh) -> dict:
-    report = {
-        "command": " ".join(args._echo),
-        "mesh_checksum": io.mesh_checksum(mesh),
-    }
-    return report
+def _base_report(args, checksum: str) -> dict:
+    return {"command": " ".join(args._echo), "mesh_checksum": checksum}
 
 
 def _finish(report: dict, args, t0: float, out):
@@ -121,21 +118,20 @@ def _cmd_mesh(args) -> int:
     return 0
 
 
-def _setup(mesh_path):
-    mesh = io.load_mesh(mesh_path)
+def _discretize(mesh):
+    """The mesh, its complex, its stars and its checksum."""
     cx = build_complex(mesh)
-    stars = dec.assemble_stars(mesh, cx)
-    return mesh, cx, stars
+    return mesh, cx, dec.assemble_stars(mesh, cx), io.mesh_checksum(mesh)
 
 
 def _cmd_decompose(args) -> int:
     t0 = time.time()
-    mesh, cx, stars = _setup(args.mesh)
-    alpha = _load_form(args.form, mesh, cx, stars, args.seed)
+    mesh, cx, stars, checksum = _discretize(io.load_mesh(args.mesh))
+    alpha = _load_form(args.form, mesh, cx, stars, args.seed, checksum)
     split = hodge.decompose(alpha, args.space, cx, stars, tol=args.tol)
     d = split.diagnostics
     harm = hodge.harmonic_diagnostics(split.gamma, cx, stars)
-    report = _base_report(args, mesh)
+    report = _base_report(args, checksum)
     report.update(
         {
             "space": args.space,
@@ -178,10 +174,10 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_stream(args) -> int:
     t0 = time.time()
-    mesh, cx, stars = _setup(args.mesh)
-    v = _load_form(args.form, mesh, cx, stars, args.seed)
+    mesh, cx, stars, checksum = _discretize(io.load_mesh(args.mesh))
+    v = _load_form(args.form, mesh, cx, stars, args.seed, checksum)
     result = hodge.stream_function(v, cx, stars, tol=args.tol)
-    report = _base_report(args, mesh)
+    report = _base_report(args, checksum)
     report.update(
         {
             "f": result.f.tolist(),
@@ -217,6 +213,8 @@ def _cmd_convergence(args) -> int:
     t0 = time.time()
     if args.levels < 1:
         raise ConfigError("--levels must be at least 1")
+    if not 0.0 < args.tol < 1.0:
+        raise ConfigError(f"--tol: the solver tolerance must lie in (0, 1), got {args.tol!r}")
     rows = []
     for level in range(args.levels):
         h = args.edge / (2**level)
@@ -273,19 +271,16 @@ def _cmd_truncate(args) -> int:
     radii = [float(r) for r in args.radii.split(",") if r]
     if not radii:
         raise ConfigError("--radii needs at least one cutoff scale")
-    if args.mesh:
-        mesh, cx, stars = _setup(args.mesh)
-    else:
-        mesh = ball_mesh(args.curvature, args.radius, args.edge)
-        cx = build_complex(mesh)
-        stars = dec.assemble_stars(mesh, cx)
-    gamma = _load_form(args.form, mesh, cx, stars, args.seed)
+    mesh, cx, stars, checksum = _discretize(
+        io.load_mesh(args.mesh) if args.mesh else ball_mesh(args.curvature, args.radius, args.edge)
+    )
+    gamma = _load_form(args.form, mesh, cx, stars, args.seed, checksum)
     tbl = []
     for R in radii:
         dist = hodge.truncation_distance(gamma, R, args.space, mesh, cx, stars)
         tbl.append({"R": R, "distance": dist})
         print(f"R={R}: |gamma - phi_R gamma| = {dist:.6g}")
-    report = _base_report(args, mesh)
+    report = _base_report(args, checksum)
     report.update({"space": args.space, "distances": tbl})
     _finish(report, args, t0, args.out)
     return 0

@@ -237,9 +237,10 @@ def solve_spd(
 
     Stops at |A x - b| <= tol * |b| (or at the absolute residual_floor,
     whichever is larger; callers use the floor when b itself is the result of
-    heavy cancellation); tol must lie in (0, 1). Deterministic: fixed
-    iteration order, serial reductions. Raises ConvergenceError (carrying the
-    final relative residual) when MAX_CG_ITERATIONS are exhausted.
+    heavy cancellation); tol must lie in (0, 1) and |b| must be finite.
+    Deterministic: fixed iteration order, serial reductions. Raises
+    ConvergenceError (carrying the final relative residual) when
+    MAX_CG_ITERATIONS are exhausted.
     """
     if not 0.0 < tol < 1.0:
         raise ConfigError(f"solver tolerance must lie in (0, 1), got {tol!r}")
@@ -247,6 +248,8 @@ def solve_spd(
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     norm_b = float(np.linalg.norm(b))
+    if not np.isfinite(norm_b):
+        raise ConfigError(f"right-hand side norm is not finite ({norm_b}); rescale the input")
     if norm_b == 0.0:
         return SolveResult(np.zeros(n), 0, 0.0)
 

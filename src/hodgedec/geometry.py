@@ -190,6 +190,20 @@ def edge_table(triangles: np.ndarray, num_vertices: int):
     return edges, inverse.reshape(t.shape), counts
 
 
+def edge_faces(face_edges: np.ndarray, num_edges: int) -> np.ndarray:
+    """The faces on each edge of a manifold table, (E, 2): the lower index first,
+    -1 in column 1 on the boundary.
+
+    A stable argsort of the slots 3f + k groups each edge's faces in face order.
+    """
+    slots = np.asarray(face_edges).reshape(-1)
+    order = np.argsort(slots, kind="stable")
+    second = np.r_[False, slots[order][1:] == slots[order][:-1]]
+    faces = np.full((num_edges, 2), -1, dtype=np.int64)
+    faces[slots[order], second.astype(np.int64)] = order // 3
+    return faces
+
+
 def mesh_edge_lengths(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     """Undirected edge list (sorted pairs, lexicographic) and geodesic lengths."""
     edges, _, _ = edge_table(mesh.triangles, mesh.num_vertices)
@@ -312,16 +326,9 @@ def _flip_to_intrinsic_delaunay(vertices: np.ndarray, tris: np.ndarray, a: float
     if bad.size == 0:
         return tris
 
-    # edge slot -> its two faces (-1 on the boundary), from a stable argsort
-    slots = face_edges.reshape(-1)
-    order = np.argsort(slots, kind="stable")
-    second = np.r_[False, slots[order][1:] == slots[order][:-1]]
-    edge_faces = np.full((edges.shape[0], 2), -1, dtype=np.int64)
-    edge_faces[slots[order], second.astype(np.int64)] = order // 3
-
     T = array("q", tris.astype(np.int64).tobytes())  # T[3f + k]: corner k of face f
     FE = array("q", face_edges.astype(np.int64).tobytes())  # FE[3f + k]: edge opposite it
-    EF = array("q", edge_faces.tobytes())  # EF[2e], EF[2e + 1]: faces on edge slot e
+    EF = array("q", edge_faces(face_edges, edges.shape[0]).tobytes())  # EF[2e], EF[2e + 1]: faces on e
     L = array("d", lengths.tobytes())
 
     def retarget(e, old, new):
@@ -442,10 +449,10 @@ def cutoff_profile(t):
 
 
 def cutoff_cochain(mesh: TriMesh, R: float) -> "Cochain":
-    """Vertex cochain phi_R(v) = phi(rho(v) / R) for scale R > 1."""
+    """Vertex cochain phi_R(v) = phi(rho(v) / R) for a finite scale R > 1."""
     from .simplicial import Cochain
 
-    if R <= 1.0:
-        raise DomainError("cutoff scale R must exceed 1")
+    if not (math.isfinite(R) and R > 1.0):
+        raise DomainError(f"cutoff scale R must be finite and exceed 1, got {R!r}")
     rho = radial_distance(mesh.vertices, mesh.curvature)
     return Cochain(0, cutoff_profile(rho / R))

@@ -10,7 +10,6 @@ interior 2-cochain by integrating over a dual spanning tree.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,7 +19,7 @@ import scipy.sparse as sp
 from . import dec
 from .dec import StarWeights
 from .errors import ConfigError, DegreeError, DomainError, PreconditionError
-from .geometry import TriMesh, cutoff_cochain, radial_distance
+from .geometry import TriMesh, cutoff_cochain, edge_faces, radial_distance
 from .simplicial import Cochain, SimplicialComplex, apply_d
 
 __all__ = [
@@ -151,6 +150,8 @@ def decompose(
     """
     _check_edge_values(alpha, cx, "decompose")
     norm_alpha = dec.norm(alpha, space, cx, stars)  # also rejects an unknown space
+    if not np.isfinite(norm_alpha):
+        raise ConfigError(f"decompose: |alpha| in {space} is not finite; rescale the input")
 
     vi, fi, P, Q = _potential_maps(cx, stars)
     s1 = sp.diags(stars.star1).tocsr()
@@ -239,9 +240,7 @@ def _coclosedness_residual(v: Cochain, cx: SimplicialComplex, stars: StarWeights
     """Per-vertex relative defect of d0^T (star1 v) against its term magnitude."""
     w = stars.star1 * v.values
     resid = cx.d0.T @ w
-    abs_d0 = cx.d0.copy()
-    abs_d0.data = np.abs(abs_d0.data)
-    scale = abs_d0.T @ np.abs(w)
+    scale = abs(cx.d0).T @ np.abs(w)
     return resid, np.abs(resid) / np.maximum(scale, np.finfo(float).tiny)
 
 
@@ -254,10 +253,11 @@ def stream_function(
     """Reconstruct a co-closed interior 1-cochain as delta of a 2-cochain.
 
     Integrates star1 * v over a breadth-first spanning tree of the dual graph
-    rooted at the lowest-index boundary-adjacent face, so the stream values f
-    vanish on faces touching the boundary; omega = f * area gives
-    star2 omega = f and delta omega = v. Closure on the remaining dual edges
-    is verified (path independence), as is the final reconstruction. `tol`,
+    rooted at the lowest-index boundary-adjacent face, as one lower-triangular
+    solve in visit order, so the stream values f vanish on faces touching the
+    boundary; omega = f * area gives star2 omega = f and delta omega = v.
+    Closure on the remaining dual edges is verified (path independence), as
+    is the final reconstruction. `tol`,
     in (0, 1), bounds the collar values and the co-closedness defect relative
     to the input, and 100 tol the closure defect.
     """
@@ -281,35 +281,33 @@ def stream_function(
             f"{float(rel_int[worst_local]):.3e} (divergence {float(resid[worst]):.3e})"
         )
 
+    # imported here: scipy.sparse.csgraph loads scipy.sparse.linalg, about 11 MB
+    # of resident memory that commands without a stream function do not need
+    from scipy.sparse import csgraph
+    from scipy.sparse.linalg import spsolve_triangular
+
     w = stars.star1 * v.values
-    # dual edges: interior primal edges and their two incident faces with signs
-    face_of_edge = [[] for _ in range(cx.num_edges)]
-    d1_coo = cx.d1.tocoo()
-    for fidx, eidx, s in zip(d1_coo.row, d1_coo.col, d1_coo.data):
-        face_of_edge[eidx].append((int(fidx), int(s)))
+    # the dual graph links the two faces of every edge that has two
+    links = edge_faces(cx.face_edges, cx.num_edges)
+    linked = np.flatnonzero(links[:, 1] >= 0)
+    fa, fb = links[linked, 0], links[linked, 1]
+    dual = sp.csr_matrix((np.ones(linked.size), (fa, fb)), shape=(cx.num_faces,) * 2)
 
     boundary_adjacent = np.flatnonzero(~cx.interior_faces)
     root = int(boundary_adjacent[0]) if boundary_adjacent.size else 0
-
-    f = np.full(cx.num_faces, np.nan)
-    f[root] = 0.0
-    queue = deque([root])
-    # adjacency keyed by face for the BFS
-    incident_edges = [[] for _ in range(cx.num_faces)]
-    for eidx, pairs in enumerate(face_of_edge):
-        if len(pairs) == 2:
-            (fa, sa), (fb, sb) = pairs
-            incident_edges[fa].append((eidx, fb, sa, sb))
-            incident_edges[fb].append((eidx, fa, sb, sa))
-    while queue:
-        cur = queue.popleft()
-        for eidx, other, s_cur, s_other in incident_edges[cur]:
-            if np.isnan(f[other]):
-                # s_cur f[cur] + s_other f[other] = w[e]
-                f[other] = (w[eidx] - s_cur * f[cur]) * s_other
-                queue.append(other)
-    if np.any(np.isnan(f)):
+    order, parent = csgraph.breadth_first_order(dual, root, directed=False)
+    if order.size != cx.num_faces:
         raise PreconditionError("dual graph is disconnected; cannot integrate stream values")
+    # tree edge e joining parent p to child c: s_p f[p] + s_c f[c] = w[e], one
+    # row per child; in BFS order every parent precedes its child
+    tree = (parent[fb] == fa) | (parent[fa] == fb)
+    via = np.empty(cx.num_faces, dtype=np.int64)  # the tree edge from each face's parent
+    via[np.where(parent[fb] == fa, fb, fa)[tree]] = linked[tree]
+    rows = via[order[1:]]
+    root_row = sp.csr_matrix(([1.0], ([0], [root])), shape=(1, cx.num_faces))
+    lower = sp.vstack([root_row, cx.d1.T.tocsr()[rows]], format="csr")[:, order]
+    f = np.empty(cx.num_faces)
+    f[order] = spsolve_triangular(lower, np.r_[0.0, w[rows]], lower=True)
     f -= f[root]
 
     closure = cx.d1.T @ f - w
@@ -338,17 +336,16 @@ def truncation_distance(
     """Distance |gamma - phi_R gamma| in the chosen norm.
 
     phi_R multiplies each edge value by the mean of the cutoff at the edge
-    endpoints. Requires the support scale 2R to stay inside the meshed ball.
+    endpoints. Requires a finite R > 1 whose support scale 2R stays inside the
+    meshed ball.
     """
     _check_edge_values(gamma, cx, "truncation distance")
-    if R <= 1.0:
-        raise DomainError("cutoff scale R must exceed 1")
+    phi = cutoff_cochain(mesh, R).values  # rejects an R that is not finite or not above 1
     rho_max = float(radial_distance(mesh.vertices, mesh.curvature).max())
     if 2.0 * R > rho_max * (1.0 + 1e-12):
         raise DomainError(
             f"cutoff support 2R = {2 * R} exceeds the meshed radius {rho_max:.6g}"
         )
-    phi = cutoff_cochain(mesh, R).values
     edge_factor = 0.5 * (phi[cx.edges[:, 0]] + phi[cx.edges[:, 1]])
     diff = Cochain(1, gamma.values - edge_factor * gamma.values)
     return dec.norm(diff, space, cx, stars)

@@ -115,17 +115,17 @@ def save_cochain(c: Cochain, mesh: TriMesh, path) -> None:
     )
 
 
-def load_cochain(path, mesh: TriMesh) -> Cochain:
+def load_cochain(path, checksum: str) -> Cochain:
+    """Read a cochain file stamped with `checksum`, the `mesh_checksum` of its mesh."""
     data = _load_object(path, "cochain")
     degree = _field(data, "degree", path, "cochain")
     if isinstance(degree, bool) or not isinstance(degree, int):
         raise ConfigError(f"cochain file {path}: degree must be an integer")
     values = _array(data, "values", path, "cochain", dtype=float)
     stamp = str(_field(data, "mesh_checksum", path, "cochain"))
-    actual = mesh_checksum(mesh)
-    if stamp != actual:
+    if stamp != checksum:
         raise ChecksumError(
             f"cochain file {path} was built against mesh {stamp[:12]}..., "
-            f"not the supplied mesh {actual[:12]}..."
+            f"not the supplied mesh {checksum[:12]}..."
         )
     return Cochain(degree, values)

@@ -144,21 +144,18 @@ def _check_boundary_cycle(bedges: np.ndarray, bverts: np.ndarray):
     degree = np.bincount(bedges.reshape(-1), minlength=bverts.shape[0])
     if np.any(degree[bverts] != 2):
         raise TopologyError("boundary is not a union of closed cycles")
-    # connectivity walk from an arbitrary boundary vertex
-    adj: dict[int, list[int]] = {}
-    for i, j in bedges:
-        adj.setdefault(int(i), []).append(int(j))
-        adj.setdefault(int(j), []).append(int(i))
-    start = int(np.flatnonzero(bverts)[0])
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != int(bverts.sum()):
+    # walk every cycle both ways at once: the step after u -> v is v -> w, w the other
+    # neighbour of v; doubling the step spreads the least vertex over each cycle
+    # (scipy.sparse.csgraph would too, but importing it costs every process ~11 MB)
+    tail = np.r_[bedges[:, 0], bedges[:, 1]]
+    head = np.r_[bedges[:, 1], bedges[:, 0]]
+    out = np.argsort(tail, kind="stable")  # the two steps out of a vertex side by side
+    at = np.searchsorted(tail[out], head)
+    step = np.where(head[out[at]] == tail, out[at + 1], out[at])
+    least = tail
+    for _ in range(tail.size.bit_length()):
+        least, step = np.minimum(least, least[step]), step[step]
+    if np.unique(least).size != 1:
         raise TopologyError("boundary splits into more than one cycle")
 
 

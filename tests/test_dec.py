@@ -284,6 +284,13 @@ class TestSolver:
         with pytest.raises(ConfigError, match="tolerance"):
             dec.solve_spd(sp.identity(3, format="csr"), np.ones(3), tol=tol)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("b", [[1e200, 1e200], [np.inf, 0.0], [np.nan, 1.0]])
+    def test_non_finite_rhs_norm_rejected(self, b):
+        # |b| overflows for the first case although every entry is finite
+        with pytest.raises(ConfigError, match="not finite"):
+            dec.solve_spd(sp.identity(2, format="csr"), np.array(b))
+
     def test_deterministic_repeat(self, rng):
         m = rng.standard_normal((30, 30))
         A = sp.csr_matrix(m @ m.T + 5 * np.eye(30))

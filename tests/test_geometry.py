@@ -383,6 +383,12 @@ class TestCutoff:
         with pytest.raises(DomainError):
             hd.cutoff_cochain(mesh, 1.0)
 
+    @pytest.mark.parametrize("R", [float("nan"), float("inf")])
+    def test_requires_finite_scale(self, discretize, R):
+        mesh, _, _ = discretize(1.0, 3.0, 0.2)
+        with pytest.raises(DomainError, match="finite"):
+            hd.cutoff_cochain(mesh, R)
+
     def test_per_edge_slope_bound(self, discretize):
         # discrete form of the gradient bound |grad phi_R| <= 2/R, h <= R/10
         mesh, cx, stars = discretize(1.0, 3.0, 0.1)

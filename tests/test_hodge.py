@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,44 @@ class TestStreamFunction:
         with pytest.raises(PreconditionError, match="collar"):
             hd.stream_function(Cochain(1, np.ones(cx.num_edges)), cx, stars)
 
+    @pytest.mark.parametrize("ball", [(1.0, 1.5, 0.1), (0.0, 1.5, 0.1)])
+    def test_matches_reference_walk(self, discretize, ball):
+        mesh, cx, stars = discretize(*ball)
+        v = builtin_form("coexact", mesh, cx, stars, seed=4)
+        f = hd.stream_function(v, cx, stars).f
+        ref = reference_stream_values(v, cx, stars)
+        assert np.abs(f - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def reference_stream_values(v, cx, stars):
+    """Stream values by a breadth-first walk over per-edge and per-face Python
+    lists, marking unvisited faces with NaN: the loop that the tree solve of
+    `stream_function` replaced, kept as its reference."""
+    w = stars.star1 * v.values
+    face_of_edge = [[] for _ in range(cx.num_edges)]
+    d1_coo = cx.d1.tocoo()
+    for fidx, eidx, s in zip(d1_coo.row, d1_coo.col, d1_coo.data):
+        face_of_edge[eidx].append((int(fidx), int(s)))
+    boundary_adjacent = np.flatnonzero(~cx.interior_faces)
+    root = int(boundary_adjacent[0]) if boundary_adjacent.size else 0
+    f = np.full(cx.num_faces, np.nan)
+    f[root] = 0.0
+    queue = deque([root])
+    incident_edges = [[] for _ in range(cx.num_faces)]
+    for eidx, pairs in enumerate(face_of_edge):
+        if len(pairs) == 2:
+            (fa, sa), (fb, sb) = pairs
+            incident_edges[fa].append((eidx, fb, sa, sb))
+            incident_edges[fb].append((eidx, fa, sb, sa))
+    while queue:
+        cur = queue.popleft()
+        for eidx, other, s_cur, s_other in incident_edges[cur]:
+            if np.isnan(f[other]):
+                f[other] = (w[eidx] - s_cur * f[cur]) * s_other  # s_cur f[cur] + s_other f[other] = w[e]
+                queue.append(other)
+    assert not np.any(np.isnan(f))
+    return f - f[root]
+
 
 def _coexact_with_nan(discretize):
     mesh, cx, stars = discretize(1.0, 1.0, 0.2)
@@ -308,6 +348,15 @@ class TestNonFiniteCochains:
         gamma, mesh, cx, stars = _coexact_with_nan(discretize)
         with pytest.raises(ConfigError, match="finite"):
             hd.truncation_distance(gamma, 1.2, "h1", mesh, cx, stars)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_decompose_rejects_overflowing_norm(self, discretize, monkeypatch):
+        mesh, cx, stars = discretize(1.0, 1.0, 0.2)
+        huge = Cochain(1, np.full(cx.num_edges, 1e300))
+        monkeypatch.setattr(hd.hodge, "_potential_maps", _no_work)
+        for tag in ("l2", "h1"):
+            with pytest.raises(ConfigError, match="not finite"):
+                hd.decompose(huge, tag, cx, stars)
 
     def test_wrong_length_rejected(self, discretize):
         mesh, cx, stars = discretize(1.0, 1.0, 0.2)
@@ -359,6 +408,15 @@ class TestTruncation:
             hd.truncation_distance(g, 1.0, space, mesh, cx, stars)
         with pytest.raises(DomainError):
             hd.truncation_distance(g, 1.7, space, mesh, cx, stars)  # 2R > rho_max
+
+    @pytest.mark.parametrize("R", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scale_rejected_first(self, discretize, monkeypatch, R):
+        mesh, cx, stars = discretize(1.0, 3.0, 0.2)
+        g = Cochain(1, np.ones(cx.num_edges))
+        monkeypatch.setattr(hd.hodge, "radial_distance", _no_work)
+        monkeypatch.setattr(hd.geometry, "radial_distance", _no_work)
+        with pytest.raises(DomainError, match="finite"):
+            hd.truncation_distance(g, R, "h1", mesh, cx, stars)
 
     def test_distances_decrease_and_bracket_tail_mass(self, discretize):
         mesh, cx, stars = discretize(1.0, 6.0, 0.2)

@@ -38,7 +38,7 @@ class TestFiles:
         c = Cochain(1, rng.standard_normal(cx.num_edges))
         path = tmp_path / "form.json"
         io.save_cochain(c, mesh, path)
-        loaded = io.load_cochain(path, mesh)
+        loaded = io.load_cochain(path, io.mesh_checksum(mesh))
         assert loaded.degree == 1
         np.testing.assert_array_equal(loaded.values, c.values)
 
@@ -49,7 +49,7 @@ class TestFiles:
         io.save_cochain(c, mesh, path)
         other = hd.ball_mesh(1.0, 1.0, 0.25)
         with pytest.raises(ChecksumError):
-            io.load_cochain(path, other)
+            io.load_cochain(path, io.mesh_checksum(other))
 
     def test_checksum_pinned(self):
         # cochain files carry this digest; it must not change with the encoder
@@ -205,12 +205,48 @@ class TestRunParameters:
                      "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1", "1"])
+    def test_convergence_tolerance_checked_before_meshing(self, tmp_path, monkeypatch, capsys, tol):
+        monkeypatch.setattr(geometry, "_place_rings", unreachable_placement)
+        out = tmp_path / "conv.csv"
+        assert main(["convergence", "--curvature", "1", "--radius", "1", "--levels", "2",
+                     f"--tol={tol}", "--out", str(out)]) == 1
+        assert "tolerance" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("radii", ["", ","])
     def test_truncate_needs_a_radius(self, small_mesh, tmp_path, radii):
         out = tmp_path / "trunc.json"
         assert main(["truncate", f"--radii={radii}", "--mesh", str(small_mesh[3]),
                      "--out", str(out)]) == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("radii", ["nan", "inf"])
+    def test_truncate_rejects_non_finite_radius(self, small_mesh, tmp_path, capsys, radii):
+        out = tmp_path / "trunc.json"
+        assert main(["truncate", f"--radii={radii}", "--mesh", str(small_mesh[3]),
+                     "--out", str(out)]) == 1
+        printed = capsys.readouterr()
+        assert "finite" in printed.err and "nan" not in printed.out
+        assert not out.exists()
+
+    def test_cochain_file_checksummed_once(self, small_mesh, tmp_path, monkeypatch):
+        mesh, cx, stars, path = small_mesh
+        form = tmp_path / "form.json"
+        io.save_cochain(hd.builtin_form("coexact", mesh, cx, stars, seed=1), mesh, form)
+        calls = []
+
+        def counted(m):
+            calls.append(1)
+            return checksum(m)
+
+        checksum = io.mesh_checksum
+        monkeypatch.setattr(io, "mesh_checksum", counted)
+        for command in ("decompose", "stream"):
+            calls.clear()
+            assert main([command, "--mesh", str(path), "--form", str(form),
+                         "--out", str(tmp_path / f"{command}.json")]) == 0
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("max_dim, trials", [(1, 5), (7, 5), (5, 0), (5, -2)])
     def test_verify_tensor_needs_pairs_and_trials(self, tmp_path, monkeypatch, max_dim, trials):

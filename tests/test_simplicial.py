@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import hodgedec as hd
 from hodgedec.errors import DegreeError, TopologyError
-from hodgedec.simplicial import Cochain
+from hodgedec.simplicial import Cochain, _check_boundary_cycle
 
 from conftest import make_lattice_mesh, make_rhombus_mesh, make_triangle_mesh
 
@@ -85,6 +85,65 @@ class TestBuildComplex:
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0]])
         with pytest.raises(TopologyError):
             hd.build_complex(hd.TriMesh(verts, np.array([[0, 1, 1]]), 0.0))
+
+    def test_bowtie_boundary_rejected(self):
+        # two triangles sharing vertex 0: V - E + F = 5 - 6 + 2 = 1, but vertex 0
+        # lies on four boundary edges
+        verts = np.array([[0.0, 0.0], [1.0, 0.5], [1.0, -0.5], [-1.0, 0.5], [-1.0, -0.5]])
+        tris = np.array([[0, 2, 1], [0, 3, 4]])
+        with pytest.raises(TopologyError, match="not a union of closed cycles"):
+            hd.build_complex(hd.TriMesh(verts, tris, 0.0))
+
+    def test_triangle_beside_annulus_rejected(self):
+        # a triangle (chi = 1) beside a 3 + 3 vertex annulus (chi = 0): the Euler
+        # count is 1, every boundary vertex has degree 2, yet there are three cycles
+        inner = [(0.1 * np.cos(t), 0.1 * np.sin(t)) for t in np.radians([0, 120, 240])]
+        outer = [(0.3 * np.cos(t), 0.3 * np.sin(t)) for t in np.radians([60, 180, 300])]
+        verts = np.array(inner + outer + [(1.0, 0.0), (1.2, 0.0), (1.1, 0.2)])
+        tris = [[i, 3 + i, (i + 1) % 3] for i in range(3)]
+        tris += [[3 + i, 3 + (i + 1) % 3, (i + 1) % 3] for i in range(3)]
+        tris.append([6, 7, 8])
+        mesh = hd.TriMesh(verts, np.array(tris), 0.0)
+        with pytest.raises(TopologyError, match="more than one cycle"):
+            hd.build_complex(mesh)
+
+
+def reference_single_cycle(bedges, bverts):
+    """Whether a degree-2 boundary is one cycle, by the depth-first walk over a
+    dict adjacency that `_check_boundary_cycle` replaced, kept as its reference."""
+    adj = {}
+    for i, j in bedges:
+        adj.setdefault(int(i), []).append(int(j))
+        adj.setdefault(int(j), []).append(int(i))
+    start = int(np.flatnonzero(bverts)[0])
+    seen, stack = {start}, [start]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == int(bverts.sum())
+
+
+@pytest.mark.parametrize("lengths", [(3,), (8,), (9,), (65,), (3, 3), (4, 7), (3, 3, 3), (2000, 5)])
+def test_boundary_cycle_count_matches_reference_walk(lengths):
+    # disjoint cycles on shuffled vertex labels, with some non-boundary vertices
+    rng = np.random.default_rng(sum(lengths))
+    labels = rng.permutation(sum(lengths) + 4)
+    bedges, start = [], 0
+    for n in lengths:
+        ring = labels[start : start + n]
+        bedges += [sorted((ring[i], ring[(i + 1) % n])) for i in range(n)]
+        start += n
+    bedges = rng.permutation(np.array(bedges))
+    bverts = np.zeros(labels.size, dtype=bool)
+    bverts[labels[:start]] = True
+    assert reference_single_cycle(bedges, bverts) == (len(lengths) == 1)
+    if len(lengths) == 1:
+        _check_boundary_cycle(bedges, bverts)
+    else:
+        with pytest.raises(TopologyError, match="more than one cycle"):
+            _check_boundary_cycle(bedges, bverts)
 
 
 class TestApplyD:
