@@ -38,6 +38,7 @@ from .geometry import (
     triangle_area,
 )
 from .hodge import (
+    Discretization,
     HarmonicReport,
     HodgeSplit,
     StreamResult,

@@ -16,8 +16,9 @@ from pathlib import Path
 
 from . import dec, forms, hodge, io, weitzenbock
 from .errors import ConfigError, ConvergenceError
-from .geometry import ball_mesh
-from .simplicial import apply_d, build_complex
+from .geometry import ball_mesh, check_cutoff_scales
+from .hodge import Discretization
+from .simplicial import apply_d
 
 
 class _UsageError(Exception):
@@ -92,15 +93,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_form(name: str, mesh, cx, stars, seed: int, checksum=None):
-    """A builtin form, or a cochain file checked against `checksum` (the mesh's if None)."""
+def _load_form(name: str, disc: Discretization, seed: int):
+    """A builtin form, or a cochain file checked against the mesh's checksum."""
     if name.startswith("builtin:"):
-        return forms.builtin_form(name.split(":", 1)[1], mesh, cx, stars, seed=seed)
-    return io.load_cochain(name, checksum or io.mesh_checksum(mesh))
+        return forms.builtin_form(name.split(":", 1)[1], disc.mesh, disc.cx, disc.stars, seed=seed)
+    return io.load_cochain(name, disc.checksum)
 
 
-def _base_report(args, checksum: str) -> dict:
-    return {"command": " ".join(args._echo), "mesh_checksum": checksum}
+def _base_report(args, disc: Discretization) -> dict:
+    return {"command": " ".join(args._echo), "mesh_checksum": disc.checksum}
 
 
 def _finish(report: dict, args, t0: float, out):
@@ -111,31 +112,24 @@ def _finish(report: dict, args, t0: float, out):
 
 
 def _cmd_mesh(args) -> int:
-    t0 = time.time()
     mesh = ball_mesh(args.curvature, args.radius, args.edge)
     io.save_mesh(mesh, args.out)
     print(f"mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles -> {args.out}")
     return 0
 
 
-def _discretize(mesh):
-    """The mesh, its complex, its stars and its checksum."""
-    cx = build_complex(mesh)
-    return mesh, cx, dec.assemble_stars(mesh, cx), io.mesh_checksum(mesh)
-
-
 def _cmd_decompose(args) -> int:
     t0 = time.time()
-    mesh, cx, stars, checksum = _discretize(io.load_mesh(args.mesh))
-    alpha = _load_form(args.form, mesh, cx, stars, args.seed, checksum)
-    split = hodge.decompose(alpha, args.space, cx, stars, tol=args.tol)
+    disc = Discretization(io.load_mesh(args.mesh))
+    alpha = _load_form(args.form, disc, args.seed)
+    split = hodge.decompose(alpha, args.space, disc, tol=args.tol)
     d = split.diagnostics
-    harm = hodge.harmonic_diagnostics(split.gamma, cx, stars)
-    report = _base_report(args, checksum)
+    harm = hodge.harmonic_diagnostics(split.gamma, disc)
+    report = _base_report(args, disc)
     report.update(
         {
             "space": args.space,
-            "star_clamp_count": stars.clamp_count,
+            "star_clamp_count": disc.stars.clamp_count,
             "beta": split.beta.values.tolist(),
             "omega": split.omega.values.tolist(),
             "gamma": split.gamma.values.tolist(),
@@ -174,10 +168,10 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_stream(args) -> int:
     t0 = time.time()
-    mesh, cx, stars, checksum = _discretize(io.load_mesh(args.mesh))
-    v = _load_form(args.form, mesh, cx, stars, args.seed, checksum)
-    result = hodge.stream_function(v, cx, stars, tol=args.tol)
-    report = _base_report(args, checksum)
+    disc = Discretization(io.load_mesh(args.mesh))
+    v = _load_form(args.form, disc, args.seed)
+    result = hodge.stream_function(v, disc, tol=args.tol)
+    report = _base_report(args, disc)
     report.update(
         {
             "f": result.f.tolist(),
@@ -194,11 +188,7 @@ def _cmd_stream(args) -> int:
 def _cmd_verify_tensor(args) -> int:
     t0 = time.time()
     report = weitzenbock.run_verification(args.max_dim, args.trials, args.seed)
-    payload = report.to_dict()
-    if not args.deterministic:
-        payload["wall_clock_seconds"] = time.time() - t0
-    if args.out:
-        io.save_json(payload, args.out)
+    _finish(report.to_dict(), args, t0, args.out)
     for r in report.results:
         status = "pass" if r.passed else "FAIL"
         print(f"N={r.n_dim} k={r.degree}: {r.trials} trials {status} (star sign {r.star_sign:+d})")
@@ -215,15 +205,17 @@ def _cmd_convergence(args) -> int:
         raise ConfigError("--levels must be at least 1")
     if not 0.0 < args.tol < 1.0:
         raise ConfigError(f"--tol: the solver tolerance must lie in (0, 1), got {args.tol!r}")
-    rows = []
+    lines = [
+        "level,h,d_residual_input,delta_residual_input,d_residual_gamma,"
+        "delta_residual_gamma,energy_ratio,ortho_defect,harmonic_deficit"
+    ]
     for level in range(args.levels):
         h = args.edge / (2**level)
-        mesh = ball_mesh(args.curvature, args.radius, h)
-        cx = build_complex(mesh)
-        stars = dec.assemble_stars(mesh, cx)
-        alpha = _load_form(args.form, mesh, cx, stars, args.seed)
-        split = hodge.decompose(alpha, args.space, cx, stars, tol=args.tol)
-        rep = hodge.harmonic_diagnostics(split.gamma, cx, stars)
+        disc = Discretization(ball_mesh(args.curvature, args.radius, h))
+        cx, stars = disc.cx, disc.stars
+        alpha = _load_form(args.form, disc, args.seed)
+        split = hodge.decompose(alpha, args.space, disc, tol=args.tol)
+        rep = hodge.harmonic_diagnostics(split.gamma, disc)  # residuals 0.0 when degenerate
         d = split.diagnostics
         norm_alpha_l2 = dec.norm(alpha, "l2", cx, stars)
         # closedness of the level's input form: the sampling-consistency trend
@@ -232,33 +224,13 @@ def _cmd_convergence(args) -> int:
             hodge._interior_l2_norm(dec.codifferential(alpha, cx, stars), cx, stars) / norm_alpha_l2
         )
         deficit = 1.0 - d.norm_gamma**2 / d.norm_alpha**2
-        rows.append(
-            {
-                "level": level,
-                "h": h,
-                "d_residual_input": in_d,
-                "delta_residual_input": in_delta,
-                "d_residual_gamma": rep.d_residual if not rep.degenerate else 0.0,
-                "delta_residual_gamma": rep.delta_residual if not rep.degenerate else 0.0,
-                "energy_ratio": rep.bound_ratio if rep.bound_ratio is not None else float("nan"),
-                "ortho_defect": d.orthogonality_defect(),
-                "harmonic_deficit": deficit,
-            }
-        )
+        ratio = rep.bound_ratio if rep.bound_ratio is not None else float("nan")
+        row = (level, h, in_d, in_delta, rep.d_residual, rep.delta_residual, ratio,
+               d.orthogonality_defect(), deficit)
+        lines.append(",".join(map(repr, row)))
         print(
             f"level {level}: h={h:.4g} input residuals d={in_d:.3e} delta={in_delta:.3e} "
             f"deficit={deficit:.3e}"
-        )
-    header = (
-        "level,h,d_residual_input,delta_residual_input,d_residual_gamma,"
-        "delta_residual_gamma,energy_ratio,ortho_defect,harmonic_deficit"
-    )
-    lines = [header]
-    for r in rows:
-        lines.append(
-            f"{r['level']},{r['h']!r},{r['d_residual_input']!r},{r['delta_residual_input']!r},"
-            f"{r['d_residual_gamma']!r},{r['delta_residual_gamma']!r},{r['energy_ratio']!r},"
-            f"{r['ortho_defect']!r},{r['harmonic_deficit']!r}"
         )
     Path(args.out).write_text("\n".join(lines) + "\n")
     if not args.deterministic:
@@ -271,16 +243,17 @@ def _cmd_truncate(args) -> int:
     radii = [float(r) for r in args.radii.split(",") if r]
     if not radii:
         raise ConfigError("--radii needs at least one cutoff scale")
-    mesh, cx, stars, checksum = _discretize(
-        io.load_mesh(args.mesh) if args.mesh else ball_mesh(args.curvature, args.radius, args.edge)
-    )
-    gamma = _load_form(args.form, mesh, cx, stars, args.seed, checksum)
+    check_cutoff_scales(radii)
+    mesh = io.load_mesh(args.mesh) if args.mesh else ball_mesh(args.curvature, args.radius, args.edge)
+    check_cutoff_scales(radii, mesh)
+    disc = Discretization(mesh)
+    gamma = _load_form(args.form, disc, args.seed)
     tbl = []
     for R in radii:
-        dist = hodge.truncation_distance(gamma, R, args.space, mesh, cx, stars)
+        dist = hodge.truncation_distance(gamma, R, args.space, disc)
         tbl.append({"R": R, "distance": dist})
         print(f"R={R}: |gamma - phi_R gamma| = {dist:.6g}")
-    report = _base_report(args, checksum)
+    report = _base_report(args, disc)
     report.update({"space": args.space, "distances": tbl})
     _finish(report, args, t0, args.out)
     return 0

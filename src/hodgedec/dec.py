@@ -26,7 +26,6 @@ __all__ = [
     "StarWeights",
     "SolveResult",
     "assemble_stars",
-    "codifferential_matrix",
     "codifferential",
     "curvature_constant",
     "inner",
@@ -136,15 +135,6 @@ def assemble_stars(mesh: TriMesh, cx: SimplicialComplex) -> StarWeights:
         edge_lengths=np.asarray(edge_lengths),
         clamp_count=int(np.count_nonzero(clamped)),
     )
-
-
-def codifferential_matrix(degree: int, cx: SimplicialComplex, stars: StarWeights) -> sp.csr_matrix:
-    """Matrix of delta_k = star_{k-1}^-1 d_{k-1}^T star_k (sign from adjointness)."""
-    if degree == 1:
-        return sp.diags(1.0 / stars.star0) @ cx.d0.T @ sp.diags(stars.star1)
-    if degree == 2:
-        return sp.diags(1.0 / stars.star1) @ cx.d1.T @ sp.diags(stars.star2)
-    raise DegreeError("codifferential needs degree 1 or 2 (no (-1)-forms)")
 
 
 def codifferential(c: Cochain, cx: SimplicialComplex, stars: StarWeights) -> Cochain:

@@ -33,6 +33,7 @@ __all__ = [
     "mesh_edge_lengths",
     "cutoff_profile",
     "cutoff_cochain",
+    "check_cutoff_scales",
 ]
 
 @dataclass(frozen=True)
@@ -448,11 +449,22 @@ def cutoff_profile(t):
     return out if out.ndim else float(out)
 
 
+def check_cutoff_scales(radii, mesh: TriMesh | None = None) -> None:
+    """Reject a cutoff scale R that is not finite and above 1 and, given the
+    mesh, one whose support 2R leaves the meshed ball."""
+    for R in radii:
+        if not (math.isfinite(R) and R > 1.0):
+            raise DomainError(f"cutoff scale R must be finite and exceed 1, got {R!r}")
+    rho_max = math.inf if mesh is None else float(radial_distance(mesh.vertices, mesh.curvature).max())
+    for R in radii:
+        if 2.0 * R > rho_max * (1.0 + 1e-12):
+            raise DomainError(f"cutoff support 2R = {2 * R} exceeds the meshed radius {rho_max:.6g}")
+
+
 def cutoff_cochain(mesh: TriMesh, R: float) -> "Cochain":
     """Vertex cochain phi_R(v) = phi(rho(v) / R) for a finite scale R > 1."""
     from .simplicial import Cochain
 
-    if not (math.isfinite(R) and R > 1.0):
-        raise DomainError(f"cutoff scale R must be finite and exceed 1, got {R!r}")
+    check_cutoff_scales([R])
     rho = radial_distance(mesh.vertices, mesh.curvature)
     return Cochain(0, cutoff_profile(rho / R))

@@ -1,28 +1,31 @@
 """Three-way splits of 1-cochains, harmonicity diagnostics, stream functions,
 and the cutoff truncation experiment.
 
-`decompose` minimizes |alpha - d beta - delta omega| in L2 over potentials
-supported away from the boundary collar; with such potentials the L2 and H1
-minimizers coincide, and the remainder gamma is the discrete harmonic part.
-`stream_function` constructively realizes co-closed fields as delta of an
+All of them act on one `Discretization`, which ties the complex and stars to
+their mesh. `decompose` minimizes |alpha - d beta - delta omega| in L2 over
+potentials supported away from the boundary collar; with such potentials the
+L2 and H1 minimizers coincide, and the remainder gamma is the discrete harmonic
+part. `stream_function` constructively realizes co-closed fields as delta of an
 interior 2-cochain by integrating over a dual spanning tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import dec
+from . import dec, io
 from .dec import StarWeights
-from .errors import ConfigError, DegreeError, DomainError, PreconditionError
-from .geometry import TriMesh, cutoff_cochain, edge_faces, radial_distance
-from .simplicial import Cochain, SimplicialComplex, apply_d
+from .errors import ConfigError, DegreeError, PreconditionError
+from .geometry import TriMesh, check_cutoff_scales, cutoff_cochain, edge_faces
+from .simplicial import Cochain, SimplicialComplex, apply_d, build_complex
 
 __all__ = [
+    "Discretization",
     "HodgeSplit",
     "SplitDiagnostics",
     "HarmonicReport",
@@ -32,6 +35,42 @@ __all__ = [
     "stream_function",
     "truncation_distance",
 ]
+
+
+@dataclass(frozen=True, eq=False)
+class Discretization:
+    """A mesh with its complex and Hodge stars, built once from the mesh alone.
+
+    The checksum and the interior potential maps are built on first use, so a
+    run that never needs them never pays for them.
+    """
+
+    mesh: TriMesh
+    cx: SimplicialComplex = field(init=False)
+    stars: StarWeights = field(init=False)
+
+    def __post_init__(self):
+        # called through module-level names, so a wrapper or test double bound there is reached
+        object.__setattr__(self, "cx", build_complex(self.mesh))
+        object.__setattr__(self, "stars", dec.assemble_stars(self.mesh, self.cx))
+
+    @cached_property
+    def checksum(self) -> str:
+        return io.mesh_checksum(self.mesh)
+
+    @cached_property
+    def potential_maps(self):
+        """Interior vertex and face indices vi, fi with P = d0[:, vi], Q = delta_2[:, fi]."""
+        cx, stars = self.cx, self.stars
+        vi = np.flatnonzero(cx.interior_vertices)
+        fi = np.flatnonzero(cx.interior_faces)
+        if vi.size == 0 or fi.size == 0:
+            raise ConfigError("degenerate mesh: no interior vertices or faces to carry potentials")
+        P = cx.d0.tocsc()[:, vi].tocsr()
+        # delta_2 = star1^-1 d1^T star2, the sign fixed by adjointness
+        delta2 = sp.diags(1.0 / stars.star1) @ cx.d1.T @ sp.diags(stars.star2)
+        Q = delta2.tocsc()[:, fi].tocsr()
+        return vi, fi, P, Q
 
 
 @dataclass
@@ -111,17 +150,6 @@ def _interior_l2_norm(c: Cochain, cx: SimplicialComplex, stars: StarWeights) -> 
     return float(np.sqrt(np.dot(c.values, w * c.values)))
 
 
-def _potential_maps(cx: SimplicialComplex, stars: StarWeights):
-    """Interior vertex and face indices vi, fi with P = d0[:, vi], Q = delta_2[:, fi]."""
-    vi = np.flatnonzero(cx.interior_vertices)
-    fi = np.flatnonzero(cx.interior_faces)
-    if vi.size == 0 or fi.size == 0:
-        raise ConfigError("degenerate mesh: no interior vertices or faces to carry potentials")
-    P = cx.d0.tocsc()[:, vi].tocsr()
-    Q = dec.codifferential_matrix(2, cx, stars).tocsc()[:, fi].tocsr()
-    return vi, fi, P, Q
-
-
 def _optimality_terms(x: np.ndarray, P, Q, star1: np.ndarray) -> np.ndarray:
     """Norms of P^T star1 x and Q^T star1 x.
 
@@ -132,13 +160,7 @@ def _optimality_terms(x: np.ndarray, P, Q, star1: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.norm(P.T @ w), np.linalg.norm(Q.T @ w)])
 
 
-def decompose(
-    alpha: Cochain,
-    space: str,
-    cx: SimplicialComplex,
-    stars: StarWeights,
-    tol: float = 1e-10,
-) -> HodgeSplit:
+def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-10) -> HodgeSplit:
     """Split a 1-cochain into exact, co-exact and harmonic parts.
 
     Solves the L2 least-squares problem over interior potentials by conjugate
@@ -148,12 +170,13 @@ def decompose(
     ("l2" or "h1") only selects the inner product of the diagnostics, and
     `tol` is the conjugate-gradient tolerance of both blocks.
     """
+    cx, stars = disc.cx, disc.stars
     _check_edge_values(alpha, cx, "decompose")
     norm_alpha = dec.norm(alpha, space, cx, stars)  # also rejects an unknown space
     if not np.isfinite(norm_alpha):
         raise ConfigError(f"decompose: |alpha| in {space} is not finite; rescale the input")
 
-    vi, fi, P, Q = _potential_maps(cx, stars)
+    vi, fi, P, Q = disc.potential_maps
     s1 = sp.diags(stars.star1).tocsr()
     s1_alpha = s1 @ alpha.values
 
@@ -204,9 +227,7 @@ def decompose(
     )
 
 
-def harmonic_diagnostics(
-    gamma: Cochain, cx: SimplicialComplex, stars: StarWeights
-) -> HarmonicReport:
+def harmonic_diagnostics(gamma: Cochain, disc: Discretization) -> HarmonicReport:
     """Energy and closedness report for a candidate harmonic 1-cochain.
 
     The energy |d gamma|^2 + |delta gamma|^2 + c |gamma|^2 is the discrete
@@ -217,6 +238,7 @@ def harmonic_diagnostics(
     """
     if gamma.degree != 1:
         raise DegreeError("harmonic diagnostics need a degree-1 cochain")
+    cx, stars = disc.cx, disc.stars
     c = dec.curvature_constant(stars.curvature, 1)
     norm_sq = dec.inner(gamma, gamma, "l2", cx, stars)
     if norm_sq == 0.0:
@@ -244,12 +266,7 @@ def _coclosedness_residual(v: Cochain, cx: SimplicialComplex, stars: StarWeights
     return resid, np.abs(resid) / np.maximum(scale, np.finfo(float).tiny)
 
 
-def stream_function(
-    v: Cochain,
-    cx: SimplicialComplex,
-    stars: StarWeights,
-    tol: float = 1e-10,
-) -> StreamResult:
+def stream_function(v: Cochain, disc: Discretization, tol: float = 1e-10) -> StreamResult:
     """Reconstruct a co-closed interior 1-cochain as delta of a 2-cochain.
 
     Integrates star1 * v over a breadth-first spanning tree of the dual graph
@@ -263,6 +280,7 @@ def stream_function(
     """
     if not 0.0 < tol < 1.0:
         raise ConfigError(f"stream tolerance must lie in (0, 1), got {tol!r}")
+    cx, stars = disc.cx, disc.stars
     _check_edge_values(v, cx, "stream function")
     collar = ~cx.interior_edges
     vmax = float(np.abs(v.values).max()) if v.values.size else 0.0
@@ -295,9 +313,8 @@ def stream_function(
 
     boundary_adjacent = np.flatnonzero(~cx.interior_faces)
     root = int(boundary_adjacent[0]) if boundary_adjacent.size else 0
+    # build_complex has checked that the dual graph is connected, so the tree spans it
     order, parent = csgraph.breadth_first_order(dual, root, directed=False)
-    if order.size != cx.num_faces:
-        raise PreconditionError("dual graph is disconnected; cannot integrate stream values")
     # tree edge e joining parent p to child c: s_p f[p] + s_c f[c] = w[e], one
     # row per child; in BFS order every parent precedes its child
     tree = (parent[fb] == fa) | (parent[fa] == fb)
@@ -325,27 +342,17 @@ def stream_function(
     return StreamResult(f, omega, float(res), path_defect)
 
 
-def truncation_distance(
-    gamma: Cochain,
-    R: float,
-    space: str,
-    mesh: TriMesh,
-    cx: SimplicialComplex,
-    stars: StarWeights,
-) -> float:
+def truncation_distance(gamma: Cochain, R: float, space: str, disc: Discretization) -> float:
     """Distance |gamma - phi_R gamma| in the chosen norm.
 
     phi_R multiplies each edge value by the mean of the cutoff at the edge
     endpoints. Requires a finite R > 1 whose support scale 2R stays inside the
     meshed ball.
     """
+    cx = disc.cx
     _check_edge_values(gamma, cx, "truncation distance")
-    phi = cutoff_cochain(mesh, R).values  # rejects an R that is not finite or not above 1
-    rho_max = float(radial_distance(mesh.vertices, mesh.curvature).max())
-    if 2.0 * R > rho_max * (1.0 + 1e-12):
-        raise DomainError(
-            f"cutoff support 2R = {2 * R} exceeds the meshed radius {rho_max:.6g}"
-        )
+    check_cutoff_scales([R], disc.mesh)
+    phi = cutoff_cochain(disc.mesh, R).values
     edge_factor = 0.5 * (phi[cx.edges[:, 0]] + phi[cx.edges[:, 1]])
     diff = Cochain(1, gamma.values - edge_factor * gamma.values)
-    return dec.norm(diff, space, cx, stars)
+    return dec.norm(diff, space, cx, disc.stars)

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DegreeError, TopologyError
-from .geometry import TriMesh, edge_table
+from .geometry import TriMesh, edge_faces, edge_table
 
 __all__ = ["Cochain", "SimplicialComplex", "build_complex", "apply_d", "interior_restriction"]
 
@@ -109,6 +109,11 @@ def build_complex(mesh: TriMesh) -> SimplicialComplex:
     boundary_vertices = np.zeros(num_v, dtype=bool)
     boundary_vertices[edges[boundary_edges].reshape(-1)] = True
     _check_boundary_cycle(edges[boundary_edges], boundary_vertices)
+    # faces linked through their shared edges: the dual graph must be connected
+    fa, fb = edge_faces(face_edges, num_e)[counts == 2].T
+    pieces = np.unique(_components(num_f, fa, fb)).size
+    if pieces != 1:
+        raise TopologyError(f"not a simplicial disk: the faces form {pieces} connected pieces")
 
     interior_vertices = ~boundary_vertices
     interior_edges = interior_vertices[edges[:, 0]] & interior_vertices[edges[:, 1]]
@@ -144,19 +149,30 @@ def _check_boundary_cycle(bedges: np.ndarray, bverts: np.ndarray):
     degree = np.bincount(bedges.reshape(-1), minlength=bverts.shape[0])
     if np.any(degree[bverts] != 2):
         raise TopologyError("boundary is not a union of closed cycles")
-    # walk every cycle both ways at once: the step after u -> v is v -> w, w the other
-    # neighbour of v; doubling the step spreads the least vertex over each cycle
-    # (scipy.sparse.csgraph would too, but importing it costs every process ~11 MB)
-    tail = np.r_[bedges[:, 0], bedges[:, 1]]
-    head = np.r_[bedges[:, 1], bedges[:, 0]]
-    out = np.argsort(tail, kind="stable")  # the two steps out of a vertex side by side
-    at = np.searchsorted(tail[out], head)
-    step = np.where(head[out[at]] == tail, out[at + 1], out[at])
-    least = tail
-    for _ in range(tail.size.bit_length()):
-        least, step = np.minimum(least, least[step]), step[step]
-    if np.unique(least).size != 1:
+    if np.unique(_components(bverts.shape[0], bedges[:, 0], bedges[:, 1])[bverts]).size != 1:
         raise TopologyError("boundary splits into more than one cycle")
+
+
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The least node of each node's component, for n nodes and edges (u[i], v[i]).
+
+    Each round hooks every root onto the least root next to it, then jumps
+    pointers until every node points at its root; a pointer never exceeds its
+    node, so the forest stays acyclic. (scipy.sparse.csgraph would do, but
+    importing it costs every process ~11 MB.)
+    """
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        low = np.minimum(lu, lv)
+        hooked = label.copy()
+        np.minimum.at(hooked, lu, low)
+        np.minimum.at(hooked, lv, low)
+        while not np.array_equal(hooked[hooked], hooked):
+            hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
 
 
 def apply_d(c: Cochain, cx: SimplicialComplex) -> Cochain:

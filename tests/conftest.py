@@ -16,16 +16,13 @@ def unreachable_placement(a, h, sizes):
 
 @pytest.fixture(scope="session")
 def discretize():
-    """Cached factory: (a, rho_max, h) -> (mesh, complex, stars)."""
+    """Cached factory: (a, rho_max, h) -> the Discretization of that ball."""
     cache = {}
 
     def build(a, rho_max, h):
         key = (a, rho_max, h)
         if key not in cache:
-            mesh = hd.ball_mesh(a, rho_max, h)
-            cx = hd.build_complex(mesh)
-            stars = hd.assemble_stars(mesh, cx)
-            cache[key] = (mesh, cx, stars)
+            cache[key] = hd.Discretization(hd.ball_mesh(a, rho_max, h))
         return cache[key]
 
     return build
@@ -68,3 +65,17 @@ def make_lattice_mesh(rows=5, cols=5, step=0.25):
             else:
                 tris += [[i, j, m], [i, m, k]]
     return hd.TriMesh(np.array(verts), np.array(tris), 0.0, {"edge_length": step})
+
+
+def make_triangle_beside_torus():
+    """A triangle beside the 7-vertex torus, drawn overlapping in the plane.
+
+    V - E + F = 10 - 24 + 15 = 1 and the only boundary is the triangle's one
+    cycle, so only the connectivity of the faces tells it from a disk.
+    """
+    ring = [(np.cos(t), np.sin(t)) for t in np.linspace(0.0, 2 * np.pi, 8)[:7]]
+    verts = np.array([(3.0, 0.0), (3.5, 0.0), (3.0, 0.5)] + ring)
+    tris = [[0, 1, 2]]
+    for i in range(7):
+        tris += [[3 + i, 3 + (i + 1) % 7, 3 + (i + 3) % 7], [3 + i, 3 + (i + 2) % 7, 3 + (i + 3) % 7]]
+    return hd.TriMesh(verts, np.array(tris), 0.0)

@@ -38,25 +38,28 @@ def dx_levels(discretize):
     out = {}
     space = "h1"
     for h in (0.2, 0.1, 0.05):
-        mesh, cx, stars = discretize(1.0, 3.0, h)
+        disc = discretize(1.0, 3.0, h)
+        mesh, cx = disc.mesh, disc.cx
         alpha = coordinate_form(mesh, cx)
-        split = hd.decompose(alpha, space, cx, stars)
-        out[h] = (mesh, cx, stars, alpha, split)
+        split = hd.decompose(alpha, space, disc)
+        out[h] = (disc, alpha, split)
     return out
 
 
 @pytest.fixture(scope="module")
 def mixed_run(discretize):
-    mesh, cx, stars = discretize(1.0, 3.0, 0.1)
+    disc = discretize(1.0, 3.0, 0.1)
+    mesh, cx, stars = disc.mesh, disc.cx, disc.stars
     space = "h1"
     alpha = builtin_form("mixed", mesh, cx, stars, seed=7)
-    split = hd.decompose(alpha, space, cx, stars)
-    return mesh, cx, stars, alpha, split
+    split = hd.decompose(alpha, space, disc)
+    return disc, alpha, split
 
 
 def test_criterion_1_simplicial_identity(grid):
     worst = 0
-    for key, (_, cx, _) in grid.items():
+    for disc in grid.values():
+        cx = disc.cx
         prod = cx.d1 @ cx.d0  # integer matrices: the product is exact
         prod.eliminate_zeros()
         worst = max(worst, prod.nnz)
@@ -76,7 +79,8 @@ def test_criterion_2_exact_symbolic_suite():
 def test_criterion_3_adjointness(grid):
     worst = 0.0
     rng = np.random.default_rng(333)
-    for (a, rho, h), (mesh, cx, stars) in grid.items():
+    for disc in grid.values():
+        cx, stars = disc.cx, disc.stars
         for k in (1, 2):
             nu, nv = cx.simplex_count(k - 1), cx.simplex_count(k)
             for _ in range(100):
@@ -96,13 +100,14 @@ def test_criterion_4_dense_oracle(discretize):
     worst = 0.0
     sizes = []
     for key in [(1.0, 0.6, 0.2), (0.0, 0.5, 0.16)]:
-        mesh, cx, stars = discretize(*key)
+        disc = discretize(*key)
+        cx, stars = disc.cx, disc.stars
         total = cx.num_vertices + cx.num_edges + cx.num_faces
         sizes.append(total)
         assert total <= 200
         alpha = Cochain(1, rng.standard_normal(cx.num_edges))
         for tag in ("l2", "h1"):
-            split = hd.decompose(alpha, tag, cx, stars, tol=1e-12)
+            split = hd.decompose(alpha, tag, disc, tol=1e-12)
             exact, coexact, gamma = dense_split_oracle(alpha, tag, cx, stars)
             scale = np.linalg.norm(alpha.values)
             errs = [
@@ -120,7 +125,7 @@ def test_criterion_4_dense_oracle(discretize):
 
 
 def test_criterion_5_decomposition_structure(mixed_run):
-    _, _, _, alpha, split = mixed_run
+    _, alpha, split = mixed_run
     d = split.diagnostics
     ok = (
         d.reconstruction_residual <= 1e-8
@@ -136,7 +141,8 @@ def test_criterion_5_decomposition_structure(mixed_run):
 
 
 def test_criterion_6_harmonic_regression(dx_levels):
-    mesh, cx, stars, alpha, split = dx_levels[0.05]
+    disc, alpha, split = dx_levels[0.05]
+    cx, stars = disc.cx, disc.stars
     l2 = "l2"
     norm_sq = dec.inner(alpha, alpha, l2, cx, stars)
     norm_ok = abs(norm_sq - DX_NORM_SQ_TARGET) <= 0.02 * DX_NORM_SQ_TARGET
@@ -148,7 +154,8 @@ def test_criterion_6_harmonic_regression(dx_levels):
     # compact supports: d(dx) vanishes identically by exact line integration,
     # the interior divergence must strictly decrease
     d_res, s_res = {}, {}
-    for h, (m, c2, st, a_h, _) in dx_levels.items():
+    for h, (d_h, a_h, _) in dx_levels.items():
+        c2, st = d_h.cx, d_h.stars
         n = dec.norm(a_h, "l2", c2, st)
         d_res[h] = _interior_l2_norm(hd.apply_d(a_h, c2), c2, st) / n
         s_res[h] = _interior_l2_norm(dec.codifferential(a_h, c2, st), c2, st) / n
@@ -168,22 +175,23 @@ def test_criterion_6_harmonic_regression(dx_levels):
 def test_criterion_7_energy_bound(dx_levels, mixed_run, discretize):
     ratios = []
     # every decomposed gamma at a = 1 from the regression runs
-    for h, (m, c2, st, _, split) in dx_levels.items():
-        rep = hd.harmonic_diagnostics(split.gamma, c2, st)
+    for h, (d_h, _, split) in dx_levels.items():
+        rep = hd.harmonic_diagnostics(split.gamma, d_h)
         ratios.append((f"dx h={h}", rep.bound_ratio))
-    _, c2, st, _, split = mixed_run
-    rep = hd.harmonic_diagnostics(split.gamma, c2, st)
+    d_mixed, _, split = mixed_run
+    rep = hd.harmonic_diagnostics(split.gamma, d_mixed)
     ratios.append(("mixed h=0.1", rep.bound_ratio))
     bound_ok = all(r <= (1 + 0.1) / 2 + 1e-9 for _, r in ratios)  # E <= 2c|g|^2 (1+eps)/...
 
     # exactly one-sided inputs: the corresponding energy term drops out exactly
-    mesh, cx, stars = discretize(1.0, 1.0, 0.1)
+    disc = discretize(1.0, 1.0, 0.1)
+    cx, stars = disc.cx, disc.stars
     rng = np.random.default_rng(77)
     beta0, omega0 = interior_potentials(cx, rng)
     closed = hd.apply_d(beta0, cx)  # exactly closed
     coclosed = dec.codifferential(omega0, cx, stars)  # exactly co-closed
-    rep_c = hd.harmonic_diagnostics(closed, cx, stars)
-    rep_cc = hd.harmonic_diagnostics(coclosed, cx, stars)
+    rep_c = hd.harmonic_diagnostics(closed, disc)
+    rep_cc = hd.harmonic_diagnostics(coclosed, disc)
     exact_ok = rep_c.d_residual <= 1e-12 and rep_cc.delta_residual <= 1e-12
 
     # the decomposed gammas are exactly closed and co-closed on the test
@@ -205,14 +213,15 @@ def test_criterion_8_stream_constructive(discretize):
     worst_f = 0.0
     n_runs = 0
     for key in [(0.0, 1.0, 0.2), (0.0, 1.0, 0.1), (1.0, 1.0, 0.2), (1.0, 1.0, 0.1)]:
-        mesh, cx, stars = discretize(*key)
+        disc = discretize(*key)
+        cx, stars = disc.cx, disc.stars
         for seed in range(20):
             rng = np.random.default_rng(seed)
             omega0 = Cochain(
                 2, np.where(cx.interior_faces, rng.standard_normal(cx.num_faces), 0.0)
             )
             v = hd.codifferential(omega0, cx, stars)
-            res = hd.stream_function(v, cx, stars)
+            res = hd.stream_function(v, disc)
             worst_res = max(worst_res, res.residual)
             fmax = max(np.abs(res.f).max(), 1.0)
             worst_f = max(worst_f, np.abs(res.f[~cx.interior_faces]).max() / fmax)
@@ -226,7 +235,8 @@ def test_criterion_8_stream_constructive(discretize):
 
 
 def test_criterion_9_cutoff_and_truncation(discretize):
-    mesh, cx, stars = discretize(1.0, 6.0, 0.15)
+    disc = discretize(1.0, 6.0, 0.15)
+    mesh, cx, stars = disc.mesh, disc.cx, disc.stars
     radii = (1.5, 2.0, 2.5)
     slope_ok = True
     worst_slope = 0.0
@@ -238,7 +248,7 @@ def test_criterion_9_cutoff_and_truncation(discretize):
         slope_ok = slope_ok and slopes.max() <= 2.0 / R + 1e-12
     gamma = coordinate_form(mesh, cx)
     space = "h1"
-    dists = [hd.truncation_distance(gamma, R, space, mesh, cx, stars) for R in radii]
+    dists = [hd.truncation_distance(gamma, R, space, disc) for R in radii]
     trend_ok = dists[0] > dists[1] > dists[2]
     report(
         9,
@@ -267,7 +277,8 @@ def test_criterion_10_euclidean_regression(discretize):
     h1 = "h1"
     rels, absolutes = {}, {}
     for rho in (2.0, 3.0, 4.0):
-        mesh, cx, stars = discretize(0.0, rho, 0.1)
+        disc = discretize(0.0, rho, 0.1)
+        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
         rng = np.random.default_rng(1010)
         beta0, omega0 = interior_potentials(cx, rng)
         parts = [
@@ -279,7 +290,7 @@ def test_criterion_10_euclidean_regression(discretize):
         for p in parts:
             total += p.values / dec.norm(p, l2, cx, stars)
         alpha = Cochain(1, total)
-        split = hd.decompose(alpha, l2, cx, stars, tol=1e-12)
+        split = hd.decompose(alpha, l2, disc, tol=1e-12)
         g_h1 = dec.norm(split.gamma, h1, cx, stars)
         rels[rho] = g_h1 / dec.norm(alpha, h1, cx, stars)
         absolutes[rho] = g_h1

@@ -34,12 +34,12 @@ class TestStarWeights:
 
     def test_vertex_areas_partition_faces(self, discretize):
         for key in [(0.0, 1.0, 0.2), (1.0, 2.0, 0.1)]:
-            _, _, stars = discretize(*key)
+            stars = discretize(*key).stars
             total = stars.face_areas.sum()
             assert stars.star0.sum() == pytest.approx(total, rel=1e-9)
 
     def test_all_weights_positive(self, discretize):
-        _, _, stars = discretize(1.0, 3.0, 0.1)
+        stars = discretize(1.0, 3.0, 0.1).stars
         assert stars.star0.min() > 0
         assert stars.star1.min() > 0
         assert stars.star2.min() > 0
@@ -55,7 +55,8 @@ class TestStarWeights:
 
 class TestCodifferential:
     def test_degree_zero_rejected(self, discretize):
-        _, cx, stars = discretize(0.0, 1.0, 0.2)
+        disc = discretize(0.0, 1.0, 0.2)
+        cx, stars = disc.cx, disc.stars
         with pytest.raises(DegreeError):
             hd.codifferential(Cochain(0, np.zeros(cx.num_vertices)), cx, stars)
 
@@ -67,7 +68,8 @@ class TestCodifferential:
 
     @pytest.mark.parametrize("a", [0.0, 1.0])
     def test_adjointness(self, discretize, rng, a):
-        _, cx, stars = discretize(a, 1.0, 0.1)
+        disc = discretize(a, 1.0, 0.1)
+        cx, stars = disc.cx, disc.stars
         for k in (1, 2):
             for _ in range(20):
                 u = hd.interior_restriction(
@@ -87,7 +89,8 @@ class TestCodifferential:
 class TestInnerProducts:
     def test_h1_coefficient_at_curvature_one(self, discretize, rng):
         # [u,u] = 2 (u,u) + |du|^2 + |delta u|^2 since c = a^2 k (N-k) = 1
-        _, cx, stars = discretize(1.0, 1.0, 0.2)
+        disc = discretize(1.0, 1.0, 0.2)
+        cx, stars = disc.cx, disc.stars
         u = Cochain(1, rng.standard_normal(cx.num_edges))
         h1 = "h1"
         l2 = "l2"
@@ -102,7 +105,8 @@ class TestInnerProducts:
         assert dec.curvature_constant(stars.curvature, 1) == 1.0
 
     def test_flat_h1_reduces_to_curl_div_form(self, discretize, rng):
-        _, cx, stars = discretize(0.0, 1.0, 0.2)
+        disc = discretize(0.0, 1.0, 0.2)
+        cx, stars = disc.cx, disc.stars
         h1 = "h1"
         assert dec.curvature_constant(stars.curvature, 1) == 0.0
         u = Cochain(1, rng.standard_normal(cx.num_edges))
@@ -122,7 +126,8 @@ class TestInnerProducts:
         assert dec.curvature_constant(2.0, 2) == 0.0
 
     def test_degree_mismatch_rejected(self, discretize):
-        _, cx, stars = discretize(0.0, 1.0, 0.2)
+        disc = discretize(0.0, 1.0, 0.2)
+        cx, stars = disc.cx, disc.stars
         with pytest.raises(DegreeError):
             dec.inner(
                 Cochain(0, np.zeros(cx.num_vertices)),
@@ -133,14 +138,16 @@ class TestInnerProducts:
             )
 
     def test_unknown_space_rejected(self, discretize):
-        _, cx, stars = discretize(0.0, 1.0, 0.2)
+        disc = discretize(0.0, 1.0, 0.2)
+        cx, stars = disc.cx, disc.stars
         u = Cochain(1, np.zeros(cx.num_edges))
         for space in ("h2", "H1", ""):
             with pytest.raises(ConfigError, match="space"):
                 dec.inner(u, u, space, cx, stars)
 
     def test_h1_dominates_l2(self, discretize, rng):
-        _, cx, stars = discretize(1.0, 1.0, 0.2)
+        disc = discretize(1.0, 1.0, 0.2)
+        cx, stars = disc.cx, disc.stars
         u = Cochain(1, rng.standard_normal(cx.num_edges))
         h1 = "h1"
         l2 = "l2"
@@ -148,7 +155,8 @@ class TestInnerProducts:
         assert dec.inner(u, u, h1, cx, stars) >= uu > 0
 
     def test_sampled_dx_l2_norm(self, discretize):
-        mesh, cx, stars = discretize(1.0, 3.0, 0.1)
+        disc = discretize(1.0, 3.0, 0.1)
+        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
         dx = coordinate_form(mesh, cx)
         l2 = "l2"
         assert dec.inner(dx, dx, l2, cx, stars) == pytest.approx(DX_NORM_SQ_RHO3, rel=0.02)
@@ -173,7 +181,8 @@ def dense_laplacian_oracle(mesh, cx, stars):
 
 class TestLaplacians:
     def test_constant_in_kernel(self, discretize):
-        _, cx, stars = discretize(1.0, 1.0, 0.2)
+        disc = discretize(1.0, 1.0, 0.2)
+        cx, stars = disc.cx, disc.stars
         out = hd.hodge_laplacian(Cochain(0, np.ones(cx.num_vertices)), cx, stars)
         assert np.abs(out.values).max() < 1e-12
 
@@ -188,7 +197,8 @@ class TestLaplacians:
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_l2_self_adjoint(self, discretize, rng, k):
-        _, cx, stars = discretize(1.0, 1.0, 0.1)
+        disc = discretize(1.0, 1.0, 0.1)
+        cx, stars = disc.cx, disc.stars
         l2 = "l2"
         n = cx.simplex_count(k)
         u, v = Cochain(k, rng.standard_normal(n)), Cochain(k, rng.standard_normal(n))
@@ -199,7 +209,8 @@ class TestLaplacians:
         assert abs(lhs - rhs) <= 1e-12 * max(scale, 1e-300)
 
     def test_bochner_shifts_by_curvature_constant(self, discretize, rng):
-        _, cx, stars = discretize(1.0, 1.0, 0.2)
+        disc = discretize(1.0, 1.0, 0.2)
+        cx, stars = disc.cx, disc.stars
         u = Cochain(1, rng.standard_normal(cx.num_edges))
         lap = hd.hodge_laplacian(u, cx, stars)
         boc = hd.bochner(u, cx, stars)
@@ -213,9 +224,10 @@ class TestLaplacians:
     def test_bochner_on_harmonic_remainder(self, discretize):
         # for gamma with d gamma = delta gamma = 0 on the test region, the
         # rough Laplacian reduces to c * gamma there
-        mesh, cx, stars = discretize(1.0, 2.0, 0.1)
+        disc = discretize(1.0, 2.0, 0.1)
+        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
         dx = coordinate_form(mesh, cx)
-        split = hd.decompose(dx, "h1", cx, stars)
+        split = hd.decompose(dx, "h1", disc)
         gamma = split.gamma
         boc = hd.bochner(gamma, cx, stars)
         rho = hd.radial_distance(mesh.vertices, 1.0)
@@ -226,7 +238,8 @@ class TestLaplacians:
 
 class TestSampledHarmonicForm:
     def test_exactly_closed(self, discretize):
-        mesh, cx, stars = discretize(1.0, 2.0, 0.1)
+        disc = discretize(1.0, 2.0, 0.1)
+        mesh, cx = disc.mesh, disc.cx
         dx = coordinate_form(mesh, cx)
         ddx = hd.apply_d(dx, cx)
         assert np.abs(ddx.values).max() < 1e-14
@@ -236,7 +249,8 @@ class TestSampledHarmonicForm:
 
         norms = {}
         for h in (0.2, 0.1):
-            mesh, cx, stars = discretize(1.0, 2.0, h)
+            disc = discretize(1.0, 2.0, h)
+            mesh, cx, stars = disc.mesh, disc.cx, disc.stars
             dx = coordinate_form(mesh, cx)
             l2 = "l2"
             norms[h] = _interior_l2_norm(

@@ -149,16 +149,16 @@ class TestBallMesh:
         assert mesh.num_vertices == 1 + m1 + m2
 
     def test_hyperbolic_ball_area(self, discretize):
-        mesh, _, _ = discretize(1.0, 3.0, 0.1)
+        mesh = discretize(1.0, 3.0, 0.1).mesh
         assert hd.mesh_area(mesh) == pytest.approx(BALL_AREA_RHO3, rel=0.02)
 
     def test_flat_ball_area(self, discretize):
-        mesh, _, _ = discretize(0.0, 1.0, 0.1)
+        mesh = discretize(0.0, 1.0, 0.1).mesh
         assert hd.mesh_area(mesh) == pytest.approx(math.pi, rel=0.02)
 
     def test_edge_lengths_in_band(self, discretize):
         for (a, rho, h) in [(0.0, 1.0, 0.2), (1.0, 1.0, 0.2), (1.0, 2.0, 0.1)]:
-            mesh, _, _ = discretize(a, rho, h)
+            mesh = discretize(a, rho, h).mesh
             _, lengths = mesh_edge_lengths(mesh)
             assert lengths.min() >= h / 2 * (1 - 1e-9)
             assert lengths.max() <= 2 * h * (1 + 1e-9)
@@ -213,7 +213,7 @@ class TestFlipPass:
         assert sums[counts == 2].min() < -1e-12
 
     def test_scalar_and_vector_cotangents_agree_bitwise(self, discretize):
-        mesh, _, _ = discretize(1.0, 2.0, 0.2)
+        mesh = discretize(1.0, 2.0, 0.2).mesh
         _, face_edges, _ = edge_table(mesh.triangles, mesh.num_vertices)
         _, lengths = mesh_edge_lengths(mesh)
         L = lengths[face_edges]
@@ -225,7 +225,7 @@ class TestFlipPass:
                 assert geometry._cot(opposite, b, d) == vector[f, c]
 
     def test_edge_table_matches_axis_unique_reference(self, discretize):
-        mesh, _, _ = discretize(1.0, 1.0, 0.2)
+        mesh = discretize(1.0, 1.0, 0.2).mesh
         t = mesh.triangles
         pairs = np.sort(np.concatenate([t[:, [1, 2]], t[:, [2, 0]], t[:, [0, 1]]]), axis=1)
         ref, ref_counts = np.unique(pairs, axis=0, return_counts=True)
@@ -371,7 +371,7 @@ class TestCutoff:
         assert slopes.max() <= 1.5 + 1e-6
 
     def test_vertex_values(self, discretize):
-        mesh, _, _ = discretize(1.0, 3.0, 0.2)
+        mesh = discretize(1.0, 3.0, 0.2).mesh
         R = 1.2
         phi = hd.cutoff_cochain(mesh, R)
         rho = hd.radial_distance(mesh.vertices, 1.0)
@@ -379,19 +379,20 @@ class TestCutoff:
         assert np.all(phi.values[rho >= 2 * R] == 0.0)
 
     def test_requires_scale_above_one(self, discretize):
-        mesh, _, _ = discretize(1.0, 3.0, 0.2)
+        mesh = discretize(1.0, 3.0, 0.2).mesh
         with pytest.raises(DomainError):
             hd.cutoff_cochain(mesh, 1.0)
 
     @pytest.mark.parametrize("R", [float("nan"), float("inf")])
     def test_requires_finite_scale(self, discretize, R):
-        mesh, _, _ = discretize(1.0, 3.0, 0.2)
+        mesh = discretize(1.0, 3.0, 0.2).mesh
         with pytest.raises(DomainError, match="finite"):
             hd.cutoff_cochain(mesh, R)
 
     def test_per_edge_slope_bound(self, discretize):
         # discrete form of the gradient bound |grad phi_R| <= 2/R, h <= R/10
-        mesh, cx, stars = discretize(1.0, 3.0, 0.1)
+        disc = discretize(1.0, 3.0, 0.1)
+        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
         for R in (1.2, 1.5):
             phi = hd.cutoff_cochain(mesh, R).values
             slopes = np.abs(phi[cx.edges[:, 1]] - phi[cx.edges[:, 0]]) / stars.edge_lengths

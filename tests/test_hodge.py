@@ -7,7 +7,7 @@ import hodgedec as hd
 from hodgedec import dec
 from hodgedec.errors import ConfigError, DomainError, PreconditionError
 from hodgedec.forms import builtin_form, coordinate_form
-from hodgedec.hodge import _interior_l2_norm, _optimality_terms, _potential_maps
+from hodgedec.hodge import _interior_l2_norm, _optimality_terms
 from hodgedec.simplicial import Cochain
 
 
@@ -61,33 +61,25 @@ def dense_split_oracle(alpha, space, cx, stars):
     return exact, coexact, gamma
 
 
-@pytest.fixture(scope="module")
-def small_hyp(discretize_module):
-    return discretize_module(1.0, 0.6, 0.2)
-
-
-@pytest.fixture(scope="session")
-def discretize_module(discretize):
-    return discretize
-
-
 class TestDecompose:
     @pytest.mark.parametrize("tag", ["l2", "h1"])
     def test_exact_input_recovered(self, discretize, rng, tag):
-        mesh, cx, stars = discretize(1.0, 1.0, 0.1)
+        disc = discretize(1.0, 1.0, 0.1)
+        cx = disc.cx
         beta0, _ = interior_potentials(cx, rng)
         alpha = hd.apply_d(beta0, cx)
-        split = hd.decompose(alpha, tag, cx, stars)
+        split = hd.decompose(alpha, tag, disc)
         d = split.diagnostics
         assert d.norm_gamma <= 1e-8 * d.norm_alpha
         assert d.norm_coexact <= 1e-8 * d.norm_alpha
 
     @pytest.mark.parametrize("tag", ["l2", "h1"])
     def test_coexact_input_recovered(self, discretize, rng, tag):
-        mesh, cx, stars = discretize(1.0, 1.0, 0.1)
+        disc = discretize(1.0, 1.0, 0.1)
+        cx, stars = disc.cx, disc.stars
         _, omega0 = interior_potentials(cx, rng)
         alpha = hd.codifferential(omega0, cx, stars)
-        split = hd.decompose(alpha, tag, cx, stars)
+        split = hd.decompose(alpha, tag, disc)
         d = split.diagnostics
         assert d.norm_gamma <= 1e-8 * d.norm_alpha
         assert d.norm_exact <= 1e-8 * d.norm_alpha
@@ -95,11 +87,12 @@ class TestDecompose:
     @pytest.mark.parametrize("tag", ["l2", "h1"])
     @pytest.mark.parametrize("key", [(1.0, 0.6, 0.2), (0.0, 0.5, 0.16)])
     def test_against_dense_oracle(self, discretize, rng, tag, key):
-        mesh, cx, stars = discretize(*key)
+        disc = discretize(*key)
+        cx, stars = disc.cx, disc.stars
         total = cx.num_vertices + cx.num_edges + cx.num_faces
         assert total <= 200
         alpha = Cochain(1, rng.standard_normal(cx.num_edges))
-        split = hd.decompose(alpha, tag, cx, stars, tol=1e-12)
+        split = hd.decompose(alpha, tag, disc, tol=1e-12)
         exact, coexact, gamma = dense_split_oracle(alpha, tag, cx, stars)
         scale = np.linalg.norm(alpha.values)
         d_beta = cx.d0 @ split.beta.values
@@ -109,21 +102,23 @@ class TestDecompose:
         assert np.linalg.norm(split.gamma.values - gamma) <= 1e-8 * scale
 
     def test_reconstruction_and_orthogonality(self, discretize, rng):
-        mesh, cx, stars = discretize(1.0, 1.5, 0.15)
+        disc = discretize(1.0, 1.5, 0.15)
+        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
         alpha = builtin_form("mixed", mesh, cx, stars, seed=5)
         space = "h1"
-        split = hd.decompose(alpha, space, cx, stars)
+        split = hd.decompose(alpha, space, disc)
         d = split.diagnostics
         assert d.reconstruction_residual <= 10 * 1e-10
         assert d.orthogonality_defect() <= 1e-8
         assert d.pythagoras_defect <= 1e-6
 
     def test_idempotent_on_harmonic_part(self, discretize):
-        mesh, cx, stars = discretize(1.0, 1.5, 0.15)
+        disc = discretize(1.0, 1.5, 0.15)
+        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
         alpha = builtin_form("mixed", mesh, cx, stars, seed=5)
         space = "h1"
-        split = hd.decompose(alpha, space, cx, stars)
-        again = hd.decompose(split.gamma, space, cx, stars)
+        split = hd.decompose(alpha, space, disc)
+        again = hd.decompose(split.gamma, space, disc)
         assert again.diagnostics.norm_exact <= 1e-6 * split.diagnostics.norm_gamma
         assert again.diagnostics.norm_coexact <= 1e-6 * split.diagnostics.norm_gamma
         drift = np.linalg.norm(again.gamma.values - split.gamma.values)
@@ -133,19 +128,21 @@ class TestDecompose:
         # the interior potentials and the interior-harmonic remainder form a
         # direct sum, so the split does not depend on the chosen metric; the
         # one solve path returns the same bits for both
-        mesh, cx, stars = discretize(1.0, 1.5, 0.15)
+        disc = discretize(1.0, 1.5, 0.15)
+        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
         alpha = builtin_form("mixed", mesh, cx, stars, seed=5)
-        s_l2 = hd.decompose(alpha, "l2", cx, stars, tol=1e-12)
-        s_h1 = hd.decompose(alpha, "h1", cx, stars, tol=1e-12)
+        s_l2 = hd.decompose(alpha, "l2", disc, tol=1e-12)
+        s_h1 = hd.decompose(alpha, "h1", disc, tol=1e-12)
         for part in ("beta", "omega", "gamma"):
             np.testing.assert_array_equal(getattr(s_l2, part).values, getattr(s_h1, part).values)
         assert s_l2.diagnostics.iterations == s_h1.diagnostics.iterations
 
     def test_reconstruction_residual_detects_perturbed_gamma(self, discretize):
-        mesh, cx, stars = discretize(1.0, 1.0, 0.2)
+        disc = discretize(1.0, 1.0, 0.2)
+        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
         alpha = builtin_form("mixed", mesh, cx, stars, seed=5)
-        split = hd.decompose(alpha, "l2", cx, stars)
-        _, _, P, Q = _potential_maps(cx, stars)
+        split = hd.decompose(alpha, "l2", disc)
+        _, _, P, Q = disc.potential_maps
         scales = _optimality_terms(np.abs(alpha.values), abs(P), abs(Q), stars.star1)
 
         def residual(gamma):
@@ -159,10 +156,11 @@ class TestDecompose:
             assert residual(gamma) > 1e-8
 
     def test_gamma_interior_harmonic_by_optimality(self, discretize):
-        mesh, cx, stars = discretize(1.0, 1.5, 0.15)
+        disc = discretize(1.0, 1.5, 0.15)
+        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
         alpha = builtin_form("mixed", mesh, cx, stars, seed=5)
         space = "h1"
-        split = hd.decompose(alpha, space, cx, stars)
+        split = hd.decompose(alpha, space, disc)
         l2 = "l2"
         scale = dec.norm(split.gamma, l2, cx, stars)
         assert _interior_l2_norm(hd.apply_d(split.gamma, cx), cx, stars) <= 1e-6 * scale
@@ -172,72 +170,68 @@ class TestDecompose:
         )
 
     def test_degenerate_mesh_rejected(self):
-        mesh = hd.ball_mesh(0.0, 0.1, 0.1)  # single ring: no interior faces
-        cx = hd.build_complex(mesh)
-        stars = hd.assemble_stars(mesh, cx)
+        disc = hd.Discretization(hd.ball_mesh(0.0, 0.1, 0.1))  # single ring: no interior faces
         with pytest.raises(ConfigError):
-            hd.decompose(
-                Cochain(1, np.zeros(cx.num_edges)),
-                "l2",
-                cx,
-                stars,
-            )
+            hd.decompose(Cochain(1, np.zeros(disc.cx.num_edges)), "l2", disc)
 
     def test_dx_gamma_dominates_at_both_radii(self, discretize):
         # the sampled square-integrable harmonic field keeps essentially all
         # of its content at every truncation radius
         for rho in (2.0, 3.0):
-            mesh, cx, stars = discretize(1.0, rho, 0.2)
+            disc = discretize(1.0, rho, 0.2)
+            mesh, cx = disc.mesh, disc.cx
             dx = coordinate_form(mesh, cx)
-            split = hd.decompose(dx, "h1", cx, stars)
+            split = hd.decompose(dx, "h1", disc)
             d = split.diagnostics
             assert d.norm_gamma**2 / d.norm_alpha**2 >= 0.9
 
 
 class TestHarmonicDiagnostics:
     def test_zero_input_degenerate(self, discretize):
-        _, cx, stars = discretize(1.0, 1.0, 0.2)
-        rep = hd.harmonic_diagnostics(
-            Cochain(1, np.zeros(cx.num_edges)), cx, stars
-        )
+        disc = discretize(1.0, 1.0, 0.2)
+        rep = hd.harmonic_diagnostics(Cochain(1, np.zeros(disc.cx.num_edges)), disc)
         assert rep.degenerate and rep.bound_ratio is None
 
     def test_coclosed_input_energy_reduces(self, discretize, rng):
         # delta of a 2-cochain is co-closed up to roundoff: the delta term
         # contributes nothing and E = |dv|^2 + c |v|^2
-        _, cx, stars = discretize(1.0, 1.0, 0.1)
+        disc = discretize(1.0, 1.0, 0.1)
+        cx, stars = disc.cx, disc.stars
         _, omega0 = interior_potentials(cx, rng)
         v = hd.codifferential(omega0, cx, stars)
-        rep = hd.harmonic_diagnostics(v, cx, stars)
+        rep = hd.harmonic_diagnostics(v, disc)
         d_sq = _interior_l2_norm(hd.apply_d(v, cx), cx, stars) ** 2
         assert rep.delta_residual <= 1e-12
         assert rep.energy == pytest.approx(d_sq + rep.curvature_constant * rep.norm_l2_sq, rel=1e-12)
 
     def test_closed_input_energy_reduces(self, discretize, rng):
-        _, cx, stars = discretize(1.0, 1.0, 0.1)
+        disc = discretize(1.0, 1.0, 0.1)
+        cx, stars = disc.cx, disc.stars
         beta0, _ = interior_potentials(cx, rng)
         u = hd.apply_d(beta0, cx)
-        rep = hd.harmonic_diagnostics(u, cx, stars)
+        rep = hd.harmonic_diagnostics(u, disc)
         s_sq = _interior_l2_norm(dec.codifferential(u, cx, stars), cx, stars) ** 2
         assert rep.d_residual <= 1e-12
         assert rep.energy == pytest.approx(s_sq + rep.curvature_constant * rep.norm_l2_sq, rel=1e-12)
 
     def test_harmonic_remainder_sits_at_half_bound(self, discretize):
-        mesh, cx, stars = discretize(1.0, 2.0, 0.1)
+        disc = discretize(1.0, 2.0, 0.1)
+        mesh, cx = disc.mesh, disc.cx
         dx = coordinate_form(mesh, cx)
         space = "h1"
-        split = hd.decompose(dx, space, cx, stars)
-        rep = hd.harmonic_diagnostics(split.gamma, cx, stars)
+        split = hd.decompose(dx, space, disc)
+        rep = hd.harmonic_diagnostics(split.gamma, disc)
         assert rep.bound_ratio == pytest.approx(0.5, abs=1e-6)
         assert rep.bound_ratio <= 1.0
 
     def test_flat_harmonic_energy_vanishes(self, discretize):
         # a = 0 and exactly harmonic: all three energy terms vanish
-        mesh, cx, stars = discretize(0.0, 1.0, 0.1)
+        disc = discretize(0.0, 1.0, 0.1)
+        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
         alpha = builtin_form("mixed", mesh, cx, stars, seed=2)
         space = "h1"
-        split = hd.decompose(alpha, space, cx, stars)
-        rep = hd.harmonic_diagnostics(split.gamma, cx, stars)
+        split = hd.decompose(alpha, space, disc)
+        rep = hd.harmonic_diagnostics(split.gamma, disc)
         assert rep.curvature_constant == 0.0
         assert rep.bound_ratio is None
         assert rep.energy <= 1e-10 * rep.norm_l2_sq
@@ -245,17 +239,19 @@ class TestHarmonicDiagnostics:
 
 class TestStreamFunction:
     def test_zero_input(self, discretize):
-        mesh, cx, stars = discretize(1.0, 1.0, 0.2)
-        res = hd.stream_function(Cochain(1, np.zeros(cx.num_edges)), cx, stars)
+        disc = discretize(1.0, 1.0, 0.2)
+        cx = disc.cx
+        res = hd.stream_function(Cochain(1, np.zeros(cx.num_edges)), disc)
         assert np.all(res.f == 0.0) and res.residual == 0.0
 
     def test_roundtrip_coexact(self, discretize, rng):
-        mesh, cx, stars = discretize(1.0, 1.5, 0.15)
+        disc = discretize(1.0, 1.5, 0.15)
+        cx, stars = disc.cx, disc.stars
         for seed in range(5):
             r = np.random.default_rng(seed)
             omega0 = Cochain(2, np.where(cx.interior_faces, r.standard_normal(cx.num_faces), 0.0))
             v = hd.codifferential(omega0, cx, stars)
-            res = hd.stream_function(v, cx, stars)
+            res = hd.stream_function(v, disc)
             assert res.residual <= 1e-10
             collar = ~cx.interior_faces
             fmax = np.abs(res.f).max()
@@ -263,28 +259,32 @@ class TestStreamFunction:
 
     def test_stream_values_recover_potential(self, discretize, rng):
         # star2 * omega = f is the defining relation
-        mesh, cx, stars = discretize(1.0, 1.0, 0.1)
+        disc = discretize(1.0, 1.0, 0.1)
+        cx, stars = disc.cx, disc.stars
         omega0 = Cochain(2, np.where(cx.interior_faces, rng.standard_normal(cx.num_faces), 0.0))
         v = hd.codifferential(omega0, cx, stars)
-        res = hd.stream_function(v, cx, stars)
+        res = hd.stream_function(v, disc)
         np.testing.assert_allclose(stars.star2 * res.omega.values, res.f, atol=1e-12)
 
     def test_not_coclosed_names_vertex(self, discretize):
-        mesh, cx, stars = discretize(0.0, 1.0, 0.2)
+        disc = discretize(0.0, 1.0, 0.2)
+        mesh, cx = disc.mesh, disc.cx
         bad = hd.interior_restriction(hd.apply_d(Cochain(0, mesh.vertices[:, 0]), cx), cx)
         with pytest.raises(PreconditionError, match="vertex"):
-            hd.stream_function(bad, cx, stars)
+            hd.stream_function(bad, disc)
 
     def test_collar_support_required(self, discretize):
-        mesh, cx, stars = discretize(0.0, 1.0, 0.2)
+        disc = discretize(0.0, 1.0, 0.2)
+        cx = disc.cx
         with pytest.raises(PreconditionError, match="collar"):
-            hd.stream_function(Cochain(1, np.ones(cx.num_edges)), cx, stars)
+            hd.stream_function(Cochain(1, np.ones(cx.num_edges)), disc)
 
     @pytest.mark.parametrize("ball", [(1.0, 1.5, 0.1), (0.0, 1.5, 0.1)])
     def test_matches_reference_walk(self, discretize, ball):
-        mesh, cx, stars = discretize(*ball)
+        disc = discretize(*ball)
+        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
         v = builtin_form("coexact", mesh, cx, stars, seed=4)
-        f = hd.stream_function(v, cx, stars).f
+        f = hd.stream_function(v, disc).f
         ref = reference_stream_values(v, cx, stars)
         assert np.abs(f - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -320,10 +320,11 @@ def reference_stream_values(v, cx, stars):
 
 
 def _coexact_with_nan(discretize):
-    mesh, cx, stars = discretize(1.0, 1.0, 0.2)
+    disc = discretize(1.0, 1.0, 0.2)
+    mesh, cx, stars = disc.mesh, disc.cx, disc.stars
     values = builtin_form("coexact", mesh, cx, stars, seed=2).values.copy()
     values[np.flatnonzero(cx.interior_edges)[0]] = np.nan
-    return Cochain(1, values), mesh, cx, stars
+    return Cochain(1, values), disc
 
 
 def _no_work(*args, **kwargs):
@@ -332,94 +333,102 @@ def _no_work(*args, **kwargs):
 
 class TestNonFiniteCochains:
     def test_decompose_rejects_nan(self, discretize, monkeypatch):
-        alpha, mesh, cx, stars = _coexact_with_nan(discretize)
-        monkeypatch.setattr(hd.hodge, "_potential_maps", _no_work)
+        alpha, disc = _coexact_with_nan(discretize)
+        monkeypatch.setattr(hd.Discretization, "potential_maps", property(_no_work))
         for tag in ("l2", "h1"):
             with pytest.raises(ConfigError, match="finite"):
-                hd.decompose(alpha, tag, cx, stars)
+                hd.decompose(alpha, tag, disc)
 
     def test_stream_function_rejects_nan(self, discretize, monkeypatch):
-        v, mesh, cx, stars = _coexact_with_nan(discretize)
+        v, disc = _coexact_with_nan(discretize)
         monkeypatch.setattr(hd.hodge, "_coclosedness_residual", _no_work)
         with pytest.raises(ConfigError, match="finite"):
-            hd.stream_function(v, cx, stars)
+            hd.stream_function(v, disc)
 
     def test_truncation_distance_rejects_nan(self, discretize):
-        gamma, mesh, cx, stars = _coexact_with_nan(discretize)
+        gamma, disc = _coexact_with_nan(discretize)
         with pytest.raises(ConfigError, match="finite"):
-            hd.truncation_distance(gamma, 1.2, "h1", mesh, cx, stars)
+            hd.truncation_distance(gamma, 1.2, "h1", disc)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_decompose_rejects_overflowing_norm(self, discretize, monkeypatch):
-        mesh, cx, stars = discretize(1.0, 1.0, 0.2)
+        disc = discretize(1.0, 1.0, 0.2)
+        cx = disc.cx
         huge = Cochain(1, np.full(cx.num_edges, 1e300))
-        monkeypatch.setattr(hd.hodge, "_potential_maps", _no_work)
+        monkeypatch.setattr(hd.Discretization, "potential_maps", property(_no_work))
         for tag in ("l2", "h1"):
             with pytest.raises(ConfigError, match="not finite"):
-                hd.decompose(huge, tag, cx, stars)
+                hd.decompose(huge, tag, disc)
 
     def test_wrong_length_rejected(self, discretize):
-        mesh, cx, stars = discretize(1.0, 1.0, 0.2)
+        disc = discretize(1.0, 1.0, 0.2)
+        cx = disc.cx
         short = Cochain(1, np.zeros(cx.num_edges - 1))
         with pytest.raises(ConfigError, match="edge values"):
-            hd.stream_function(short, cx, stars)
+            hd.stream_function(short, disc)
         with pytest.raises(ConfigError, match="edge values"):
-            hd.decompose(short, "l2", cx, stars)
+            hd.decompose(short, "l2", disc)
 
 
 class TestRunParameters:
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, 1.0])
     def test_tolerance_outside_unit_interval_rejected(self, discretize, monkeypatch, tol):
-        mesh, cx, stars = discretize(1.0, 1.0, 0.2)
+        disc = discretize(1.0, 1.0, 0.2)
+        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
         alpha = builtin_form("coexact", mesh, cx, stars, seed=2)
         monkeypatch.setattr(hd.hodge, "_coclosedness_residual", _no_work)
         with pytest.raises(ConfigError, match="tolerance"):
-            hd.decompose(alpha, "h1", cx, stars, tol=tol)
+            hd.decompose(alpha, "h1", disc, tol=tol)
         with pytest.raises(ConfigError, match="tolerance"):
-            hd.stream_function(alpha, cx, stars, tol=tol)
+            hd.stream_function(alpha, disc, tol=tol)
 
     def test_unknown_space_rejected_before_solving(self, discretize, monkeypatch):
-        mesh, cx, stars = discretize(1.0, 1.0, 0.2)
+        disc = discretize(1.0, 1.0, 0.2)
+        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
         alpha = builtin_form("mixed", mesh, cx, stars, seed=2)
-        monkeypatch.setattr(hd.hodge, "_potential_maps", _no_work)
+        monkeypatch.setattr(hd.Discretization, "potential_maps", property(_no_work))
         with pytest.raises(ConfigError, match="space"):
-            hd.decompose(alpha, "h2", cx, stars)
+            hd.decompose(alpha, "h2", disc)
 
 
 class TestTruncation:
     def test_zero_gamma(self, discretize):
-        mesh, cx, stars = discretize(1.0, 3.0, 0.2)
+        disc = discretize(1.0, 3.0, 0.2)
+        cx = disc.cx
         space = "h1"
-        assert hd.truncation_distance(Cochain(1, np.zeros(cx.num_edges)), 1.2, space, mesh, cx, stars) == 0.0
+        assert hd.truncation_distance(Cochain(1, np.zeros(cx.num_edges)), 1.2, space, disc) == 0.0
 
     def test_supported_inside_cutoff(self, discretize):
-        mesh, cx, stars = discretize(1.0, 3.0, 0.2)
+        disc = discretize(1.0, 3.0, 0.2)
+        mesh, cx = disc.mesh, disc.cx
         rho = hd.radial_distance(mesh.vertices, 1.0)
         inside = (rho[cx.edges[:, 0]] <= 1.0) & (rho[cx.edges[:, 1]] <= 1.0)
         gamma = Cochain(1, np.where(inside, 1.0, 0.0))
         space = "l2"
-        assert hd.truncation_distance(gamma, 1.2, space, mesh, cx, stars) == 0.0
+        assert hd.truncation_distance(gamma, 1.2, space, disc) == 0.0
 
     def test_domain_checks(self, discretize):
-        mesh, cx, stars = discretize(1.0, 3.0, 0.2)
+        disc = discretize(1.0, 3.0, 0.2)
+        cx = disc.cx
         space = "l2"
         g = Cochain(1, np.zeros(cx.num_edges))
         with pytest.raises(DomainError):
-            hd.truncation_distance(g, 1.0, space, mesh, cx, stars)
+            hd.truncation_distance(g, 1.0, space, disc)
         with pytest.raises(DomainError):
-            hd.truncation_distance(g, 1.7, space, mesh, cx, stars)  # 2R > rho_max
+            hd.truncation_distance(g, 1.7, space, disc)  # 2R > rho_max
 
     @pytest.mark.parametrize("R", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_scale_rejected_first(self, discretize, monkeypatch, R):
-        mesh, cx, stars = discretize(1.0, 3.0, 0.2)
+        disc = discretize(1.0, 3.0, 0.2)
+        cx = disc.cx
         g = Cochain(1, np.ones(cx.num_edges))
-        monkeypatch.setattr(hd.hodge, "radial_distance", _no_work)
         monkeypatch.setattr(hd.geometry, "radial_distance", _no_work)
         with pytest.raises(DomainError, match="finite"):
-            hd.truncation_distance(g, R, "h1", mesh, cx, stars)
+            hd.truncation_distance(g, R, "h1", disc)
 
     def test_distances_decrease_and_bracket_tail_mass(self, discretize):
-        mesh, cx, stars = discretize(1.0, 6.0, 0.2)
+        disc = discretize(1.0, 6.0, 0.2)
+        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
         dx = coordinate_form(mesh, cx)
         space = "l2"
         rho = hd.radial_distance(mesh.vertices, 1.0)
@@ -429,7 +438,7 @@ class TestTruncation:
             vals = np.where(beyond, dx.values, 0.0)
             return dec.norm(Cochain(1, vals), space, cx, stars)
 
-        dists = [hd.truncation_distance(dx, R, space, mesh, cx, stars) for R in (1.5, 2.0, 2.5)]
+        dists = [hd.truncation_distance(dx, R, space, disc) for R in (1.5, 2.0, 2.5)]
         assert dists[0] > dists[1] > dists[2]
         for R, dist in zip((1.5, 2.0, 2.5), dists):
             # tail-mass oracle: phi_R = 0 beyond 2R and = 1 inside R

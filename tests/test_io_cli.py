@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,17 +11,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hodgedec as hd
-from hodgedec import geometry, io, weitzenbock
+from hodgedec import dec, geometry, io, weitzenbock
 from hodgedec.cli import main
 from hodgedec.errors import ChecksumError
 from hodgedec.simplicial import Cochain
 
-from conftest import make_lattice_mesh, unreachable_placement
+from conftest import make_lattice_mesh, make_triangle_beside_torus, unreachable_placement
 
 
 @pytest.fixture()
 def small_mesh(tmp_path, discretize):
-    mesh, cx, stars = discretize(1.0, 1.0, 0.2)
+    disc = discretize(1.0, 1.0, 0.2)
+    mesh, cx, stars = disc.mesh, disc.cx, disc.stars
     path = tmp_path / "mesh.json"
     io.save_mesh(mesh, path)
     return mesh, cx, stars, path
@@ -113,6 +117,14 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "N=4 k=2" in printed
 
+    def test_disconnected_mesh_file_is_validation_error(self, tmp_path, capsys):
+        mesh_path, out = tmp_path / "m.json", tmp_path / "out.json"
+        io.save_mesh(make_triangle_beside_torus(), mesh_path)
+        assert main(["decompose", "--mesh", str(mesh_path), "--form", "builtin:dx",
+                     "--out", str(out)]) == 1
+        assert "connected pieces" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_command_is_validation_error(self, capsys):
         assert main(["frobnicate"]) == 1
         assert main(["decompose", "--no-such-flag"]) == 1
@@ -174,7 +186,8 @@ class TestCli:
         dists = [row["distance"] for row in payload["distances"]]
         assert dists[0] > dists[1] > dists[2]
 
-    def test_truncate_rejects_oversized_cutoff(self, tmp_path):
+    def test_truncate_rejects_oversized_cutoff(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(dec, "assemble_stars", _unreachable)
         code = main(["truncate", "--radii", "2.0", "--curvature", "1",
                      "--radius", "3", "--edge", "0.15", "--form", "builtin:dx",
                      "--out", str(tmp_path / "t.json")])
@@ -221,8 +234,9 @@ class TestRunParameters:
                      "--out", str(out)]) == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("radii", ["nan", "inf"])
-    def test_truncate_rejects_non_finite_radius(self, small_mesh, tmp_path, capsys, radii):
+    @pytest.mark.parametrize("radii", ["nan", "inf", "1.5,nan"])
+    def test_truncate_rejects_non_finite_radius(self, small_mesh, tmp_path, monkeypatch, capsys, radii):
+        monkeypatch.setattr(dec, "assemble_stars", _unreachable)
         out = tmp_path / "trunc.json"
         assert main(["truncate", f"--radii={radii}", "--mesh", str(small_mesh[3]),
                      "--out", str(out)]) == 1
@@ -230,10 +244,12 @@ class TestRunParameters:
         assert "finite" in printed.err and "nan" not in printed.out
         assert not out.exists()
 
-    def test_cochain_file_checksummed_once(self, small_mesh, tmp_path, monkeypatch):
-        mesh, cx, stars, path = small_mesh
-        form = tmp_path / "form.json"
-        io.save_cochain(hd.builtin_form("coexact", mesh, cx, stars, seed=1), mesh, form)
+    def test_cochain_file_checksummed_once(self, discretize, tmp_path, monkeypatch):
+        disc = discretize(1.0, 3.0, 0.2)  # wide enough for the cutoff scale R = 1.2
+        path, form = tmp_path / "mesh.json", tmp_path / "form.json"
+        io.save_mesh(disc.mesh, path)
+        coexact = hd.builtin_form("coexact", disc.mesh, disc.cx, disc.stars, seed=1)
+        io.save_cochain(coexact, disc.mesh, form)
         calls = []
 
         def counted(m):
@@ -242,11 +258,16 @@ class TestRunParameters:
 
         checksum = io.mesh_checksum
         monkeypatch.setattr(io, "mesh_checksum", counted)
-        for command in ("decompose", "stream"):
+        for command in ("decompose", "stream", "truncate"):
             calls.clear()
-            assert main([command, "--mesh", str(path), "--form", str(form),
+            extra = ["--radii", "1.2"] if command == "truncate" else []
+            assert main([command, "--mesh", str(path), "--form", str(form), *extra,
                          "--out", str(tmp_path / f"{command}.json")]) == 0
             assert len(calls) == 1
+        calls.clear()
+        assert main(["convergence", "--curvature", "1", "--radius", "1", "--levels", "1",
+                     "--out", str(tmp_path / "conv.csv")]) == 0
+        assert calls == []
 
     @pytest.mark.parametrize("max_dim, trials", [(1, 5), (7, 5), (5, 0), (5, -2)])
     def test_verify_tensor_needs_pairs_and_trials(self, tmp_path, monkeypatch, max_dim, trials):
@@ -427,3 +448,13 @@ class TestMeshArguments:
 def _mesh_argv(params, out):
     a, rho, h = params
     return ["mesh", f"--curvature={a!r}", f"--radius={rho!r}", f"--edge={h!r}", "--out", str(out)]
+
+
+def test_cli_import_leaves_scipy_graph_and_solver_modules_unloaded():
+    # each costs resident memory in every command, so only stream_function imports them
+    src = str(Path(hd.__file__).resolve().parent.parent)
+    probe = ("import sys, hodgedec.cli; "
+             "print([m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={"PYTHONPATH": src}, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -6,9 +6,14 @@ from hypothesis import strategies as st
 
 import hodgedec as hd
 from hodgedec.errors import DegreeError, TopologyError
-from hodgedec.simplicial import Cochain, _check_boundary_cycle
+from hodgedec.simplicial import Cochain, _check_boundary_cycle, _components
 
-from conftest import make_lattice_mesh, make_rhombus_mesh, make_triangle_mesh
+from conftest import (
+    make_lattice_mesh,
+    make_rhombus_mesh,
+    make_triangle_beside_torus,
+    make_triangle_mesh,
+)
 
 
 class TestBuildComplex:
@@ -21,33 +26,34 @@ class TestBuildComplex:
 
     def test_euler_characteristic(self, discretize):
         for (a, rho, h) in [(0.0, 1.0, 0.2), (1.0, 1.0, 0.1), (1.0, 2.0, 0.2)]:
-            _, cx, _ = discretize(a, rho, h)
+            cx = discretize(a, rho, h).cx
             assert cx.num_vertices - cx.num_edges + cx.num_faces == 1
 
     def test_dd_zero_integer(self, discretize):
-        _, cx, _ = discretize(1.0, 2.0, 0.2)
+        cx = discretize(1.0, 2.0, 0.2).cx
         prod = cx.d1 @ cx.d0  # integer product, exact
         prod.eliminate_zeros()
         assert prod.nnz == 0
 
     def test_boundary_is_cycle(self, discretize):
-        mesh, cx, _ = discretize(0.0, 0.2, 0.1)
+        disc = discretize(0.0, 0.2, 0.1)
+        cx = disc.cx
         assert cx.boundary_edges.sum() == cx.boundary_vertices.sum()
 
     def test_orientation_coherence(self, discretize):
         # interior edges see their two faces with opposite induced orientations
-        _, cx, _ = discretize(1.0, 1.0, 0.2)
+        cx = discretize(1.0, 1.0, 0.2).cx
         col_sums = np.asarray(cx.d1.sum(axis=0)).ravel()
         interior = ~cx.boundary_edges
         assert np.all(col_sums[interior] == 0)
         assert np.all(np.abs(col_sums[~interior]) == 1)
 
     def test_edge_canonical_orientation(self, discretize):
-        _, cx, _ = discretize(0.0, 1.0, 0.2)
+        cx = discretize(0.0, 1.0, 0.2).cx
         assert np.all(cx.edges[:, 0] < cx.edges[:, 1])
 
     def test_face_edges_join_the_other_two_corners(self, discretize):
-        for cx in (hd.build_complex(make_lattice_mesh()), discretize(1.0, 1.0, 0.2)[1]):
+        for cx in (hd.build_complex(make_lattice_mesh()), discretize(1.0, 1.0, 0.2).cx):
             assert cx.face_edges.shape == (cx.num_faces, 3)
             for f, tri in enumerate(cx.faces):
                 for c in range(3):
@@ -56,7 +62,7 @@ class TestBuildComplex:
 
     def test_matches_axis_unique_reference(self, discretize):
         # reference: edges as unique sorted vertex pairs, np.unique(axis=0)
-        for mesh in (make_lattice_mesh(), discretize(1.0, 2.0, 0.2)[0]):
+        for mesh in (make_lattice_mesh(), discretize(1.0, 2.0, 0.2).mesh):
             cx = hd.build_complex(mesh)
             faces = mesh.triangles
             directed = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
@@ -107,6 +113,32 @@ class TestBuildComplex:
         with pytest.raises(TopologyError, match="more than one cycle"):
             hd.build_complex(mesh)
 
+    def test_triangle_beside_torus_rejected(self):
+        with pytest.raises(TopologyError, match="2 connected pieces"):
+            hd.build_complex(make_triangle_beside_torus())
+
+
+def reference_components(n, u, v):
+    """The least node of each node's component, by union-find over Python ints."""
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in zip(u.tolist(), v.tolist()):
+        ri, rj = root(i), root(j)
+        parent[max(ri, rj)] = min(ri, rj)
+    return np.array([root(i) for i in range(n)])
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (2, 1), (50, 20), (50, 49), (300, 280), (2000, 2100)])
+def test_components_match_union_find(n, m):
+    rng = np.random.default_rng(n + m)
+    u, v = rng.integers(0, n, size=(2, m))
+    assert np.array_equal(_components(n, u, v), reference_components(n, u, v))
+
 
 def reference_single_cycle(bedges, bverts):
     """Whether a degree-2 boundary is one cycle, by the depth-first walk over a
@@ -148,25 +180,26 @@ def test_boundary_cycle_count_matches_reference_walk(lengths):
 
 class TestApplyD:
     def test_constant_has_zero_gradient(self, discretize):
-        _, cx, _ = discretize(0.0, 1.0, 0.2)
+        cx = discretize(0.0, 1.0, 0.2).cx
         out = hd.apply_d(Cochain(0, np.full(cx.num_vertices, 3.7)), cx)
         assert np.all(out.values == 0.0)
 
     def test_dd_is_zero_on_values(self, discretize, rng):
-        _, cx, _ = discretize(1.0, 1.0, 0.2)
+        cx = discretize(1.0, 1.0, 0.2).cx
         f = Cochain(0, rng.standard_normal(cx.num_vertices))
         ddf = hd.apply_d(hd.apply_d(f, cx), cx)
         assert np.abs(ddf.values).max() < 1e-13
 
     def test_coordinate_differences(self, discretize):
-        mesh, cx, _ = discretize(0.0, 1.0, 0.2)
+        disc = discretize(0.0, 1.0, 0.2)
+        mesh, cx = disc.mesh, disc.cx
         x = mesh.vertices[:, 0]
         out = hd.apply_d(Cochain(0, x), cx)
         expected = x[cx.edges[:, 1]] - x[cx.edges[:, 0]]
         np.testing.assert_allclose(out.values, expected, rtol=0, atol=0)
 
     def test_top_degree_rejected(self, discretize):
-        _, cx, _ = discretize(0.0, 1.0, 0.2)
+        cx = discretize(0.0, 1.0, 0.2).cx
         with pytest.raises(DegreeError):
             hd.apply_d(Cochain(2, np.zeros(cx.num_faces)), cx)
 
@@ -185,7 +218,7 @@ class TestApplyD:
 
 class TestInteriorRestriction:
     def test_idempotent(self, discretize, rng):
-        _, cx, _ = discretize(1.0, 1.0, 0.2)
+        cx = discretize(1.0, 1.0, 0.2).cx
         c = Cochain(1, rng.standard_normal(cx.num_edges))
         once = hd.interior_restriction(c, cx)
         twice = hd.interior_restriction(once, cx)
@@ -197,7 +230,8 @@ class TestInteriorRestriction:
         assert np.all(out.values == 0.0)
 
     def test_two_ring_faces_against_enumeration(self, discretize):
-        mesh, cx, _ = discretize(0.0, 0.2, 0.1)
+        disc = discretize(0.0, 0.2, 0.1)
+        mesh, cx = disc.mesh, disc.cx
         out = hd.interior_restriction(Cochain(2, np.ones(cx.num_faces)), cx)
         # oracle: enumerate boundary vertices straight from the triangle list
         bnd = set()
@@ -215,7 +249,7 @@ class TestInteriorRestriction:
         assert expected.sum() > 0  # the 2-ring mesh does have interior faces
 
     def test_keeps_interior_values(self, discretize, rng):
-        _, cx, _ = discretize(1.0, 1.0, 0.2)
+        cx = discretize(1.0, 1.0, 0.2).cx
         c = Cochain(1, rng.standard_normal(cx.num_edges))
         out = hd.interior_restriction(c, cx)
         np.testing.assert_array_equal(out.values[cx.interior_edges], c.values[cx.interior_edges])
