@@ -259,6 +259,17 @@ def _cmd_truncate(args) -> int:
     return 0
 
 
+def _check_out(out) -> None:
+    """Reject an --out that cannot be written, before the command does any work."""
+    if out is None:
+        return
+    path = Path(out)
+    if not out or out.endswith("/") or path.is_dir():
+        raise ConfigError(f"--out {out!r} must name a file, not a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"--out {out!r}: directory {str(path.parent)!r} does not exist")
+
+
 _COMMANDS = {
     "mesh": _cmd_mesh,
     "decompose": _cmd_decompose,
@@ -283,6 +294,7 @@ def main(argv=None) -> int:
         return 1
     args._echo = ["hodgedec"] + argv
     try:
+        _check_out(args.out)
         return _COMMANDS[args.command](args)
     except ConvergenceError as err:
         print(f"numerical non-convergence: {err}", file=sys.stderr)

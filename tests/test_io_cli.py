@@ -279,6 +279,25 @@ class TestRunParameters:
                      "--out", str(out)]) == 1
         assert not out.exists()
 
+    # each command with arguments that would otherwise start its work
+    @pytest.mark.parametrize("argv", [
+        ["mesh", "--curvature", "1", "--radius", "1", "--edge", "0.2"],
+        ["decompose", "--mesh", "mesh.json", "--form", "builtin:dx"],
+        ["stream", "--mesh", "mesh.json", "--form", "builtin:coexact"],
+        ["verify-tensor", "--max-dim", "4", "--trials", "3"],
+        ["convergence", "--curvature", "1", "--radius", "1", "--levels", "1"],
+        ["truncate", "--radii", "1.2", "--mesh", "mesh.json"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("out", ["", "a_directory", "missing/out.json", "missing/"])
+    def test_unwritable_out_rejected_before_work(self, tmp_path, monkeypatch, capsys, argv, out):
+        monkeypatch.setattr(geometry, "_place_rings", unreachable_placement)
+        monkeypatch.setattr(io, "load_mesh", _unreachable)
+        monkeypatch.setattr(weitzenbock, "random_context", _unreachable)
+        (tmp_path / "a_directory").mkdir()
+        assert main(argv + ["--out", f"{tmp_path}/{out}" if out else ""]) == 1
+        assert "--out" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
 
 def _valid_files(directory):
     """A small mesh file and a degree-1 cochain file that belongs to it."""

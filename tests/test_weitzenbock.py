@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +14,37 @@ F = Fraction
 
 def identity_metric(n):
     return [[F(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def leibniz_det(m):
+    """Exact determinant by the Leibniz formula, independent of any elimination."""
+    n = len(m)
+    total = F(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = F((-1) ** inversions)
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+def rational_context(n, k, rng):
+    """A context with a non-integer metric and K = -(p/q)^2, q > 1."""
+    L = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    g = [
+        [F(sum(L[m][i] * L[m][j] for m in range(n)), 6) + (F(2, 5) if i == j else 0)
+         for j in range(n)]
+        for i in range(n)
+    ]
+    comps = {
+        idx: F(rng.randint(1, 9), rng.randint(2, 9)) for idx in itertools.combinations(range(n), k)
+    }
+    curvature = -F(rng.choice((1, 2, 4, 5, 7)), 3) ** 2
+    ctx = wb.make_context(n, k, g, curvature, wb.antisymmetrize(n, comps))
+    assert math.lcm(*(x.denominator for row in ctx.metric for x in row)) > 1
+    assert ctx.curvature.denominator > 1
+    return ctx
 
 
 def brute_force_sums_oracle(ctx, R):
@@ -196,6 +229,58 @@ class TestWeitzenbockSums:
         assert wb.tensors_equal(sums, target, 3, 2)
 
 
+class TestIntegerKernel:
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
+    def test_sums_match_oracle_on_rational_contexts(self, n, k):
+        rng = random.Random(100 * n + k)
+        for _ in range(2):
+            ctx = rational_context(n, k, rng)
+            R = wb.riemann_constant_curvature(ctx)
+            sums = wb.weitzenbock_sums(ctx, R)
+            assert sums == brute_force_sums_oracle(ctx, R)
+            mult = wb.expected_weitzenbock_multiple(ctx)
+            assert sums == {idx: mult * v for idx, v in ctx.alpha.items()}
+            assert wb.verify_identities(ctx) is None
+
+    @pytest.mark.parametrize("n,m", [(2, 0), (3, 2), (4, 1), (5, 4)])
+    @pytest.mark.parametrize("below_zero", [F(0), F(1, 3)], ids=["zero", "negative"])
+    def test_lowered_diagonal_fails_sylvester(self, n, m, below_zero):
+        # lower g_mm until the leading minor of order m + 1 is 0 or negative
+        ctx = wb.random_context(n, 1, random.Random(n + m))
+        g = [list(row) for row in ctx.metric]
+        minor = leibniz_det([row[: m + 1] for row in g[: m + 1]])
+        outer = leibniz_det([row[:m] for row in g[:m]]) if m else F(1)
+        g[m][m] -= minor / outer + below_zero
+        assert leibniz_det([row[: m + 1] for row in g[: m + 1]]) == -below_zero * outer
+        with pytest.raises(PreconditionError, match="positive definite"):
+            wb.make_context(n, 1, g, ctx.curvature, ctx.alpha)
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (4, 2), (4, 3), (5, 3)])
+    def test_wrong_antisymmetric_partner_fails_sums(self, n, k):
+        rng = random.Random(7 * n + k)
+        ctx = wb.random_context(n, k, rng)
+        while ctx.curvature == 0:
+            ctx = wb.random_context(n, k, rng)
+        alpha = dict(ctx.alpha)
+        key = min(alpha)
+        partner = (key[1], key[0]) + key[2:]
+        alpha[partner] += 1
+        bad = dataclasses.replace(ctx, alpha=alpha)
+        assert wb.verify_identities(bad) == "weitzenbock sums"
+        with pytest.raises(PreconditionError, match="antisymmetry"):
+            wb.weitzenbock_sums(bad, wb.riemann_constant_curvature(bad))
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (3, 2), (4, 2), (5, 3)])
+    def test_riemann_at_another_curvature_misses_the_target(self, n, k):
+        ctx = rational_context(n, k, random.Random(n * k))
+        other = dataclasses.replace(ctx, curvature=ctx.curvature / 2)
+        sums = wb.weitzenbock_sums(ctx, wb.riemann_constant_curvature(other))
+        mult = wb.expected_weitzenbock_multiple(ctx)
+        assert not wb.tensors_equal(sums, {idx: mult * v for idx, v in ctx.alpha.items()}, n, k)
+        half = wb.expected_weitzenbock_multiple(other)
+        assert sums == {idx: half * v for idx, v in ctx.alpha.items()}
+
+
 class TestStarInvolution:
     @pytest.mark.parametrize(
         "n,k,expected",
@@ -221,6 +306,21 @@ class TestContextValidation:
         with pytest.raises(PreconditionError):
             wb.make_context(2, 1, g, F(-1), {(0,): F(1)})
 
+    @pytest.mark.parametrize("key", [(5,), (-1,), (2,), (0, 1), (), 0, (F(1),)])
+    @pytest.mark.parametrize("value", [F(1), F(0)])
+    def test_malformed_alpha_key_rejected(self, key, value):
+        with pytest.raises(PreconditionError, match="alpha key"):
+            wb.make_context(2, 1, identity_metric(2), F(-1), {(0,): F(1), key: value})
+
+    @pytest.mark.parametrize("metric", [
+        [[1, 0], [0, 1]],
+        [[1, 0, 0], [0, 1], [0, 0, 1]],
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 0, 0]],
+    ])
+    def test_wrongly_shaped_metric_rejected(self, metric):
+        with pytest.raises(PreconditionError, match="3 x 3"):
+            wb.make_context(3, 1, metric, F(-1), {(0,): F(1)})
+
     def test_inverse_is_exact(self):
         rng = random.Random(2)
         ctx = wb.random_context(4, 1, rng)
@@ -234,6 +334,12 @@ def test_reduced_fuzz_contract():
     report = wb.run_verification(max_dim=3, trials=8, seed=123)
     assert report.all_passed
     assert len(report.results) == 2 + 1 + 4  # (N=2: k=0..2) + (N=3: k=0..3)
+
+
+def test_six_dimensional_suite():
+    report = wb.run_verification(max_dim=6, trials=1, seed=66)
+    assert report.all_passed
+    assert len(report.results) == sum(n + 1 for n in range(2, 7))
 
 
 def test_verification_report_serializes():
