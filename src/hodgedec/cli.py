@@ -155,7 +155,7 @@ def _cmd_decompose(args) -> int:
                 "d_residual": harm.d_residual,
                 "delta_residual": harm.delta_residual,
             },
-            "solver": {"iterations": d.iterations, "residual": d.solver_residual},
+            "solver": d.solver,
         }
     )
     _finish(report, args, t0, args.out)

@@ -87,8 +87,7 @@ class SplitDiagnostics:
     pythagoras_defect: float  # relative to |alpha|^2
     norm_d_gamma_l2: float
     norm_delta_gamma_l2: float
-    iterations: int
-    solver_residual: float
+    solver: dict  # per block, "vertex" and "face": size, levels (0 = Jacobi), iterations, residual
 
     def orthogonality_defect(self) -> float:
         """Largest pairwise inner product relative to |alpha|^2."""
@@ -160,6 +159,15 @@ def _optimality_terms(x: np.ndarray, P, Q, star1: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.norm(P.T @ w), np.linalg.norm(Q.T @ w)])
 
 
+def _solve_stats(sol: dec.SolveResult) -> dict:
+    return {
+        "size": sol.x.size,
+        "levels": sol.levels,
+        "iterations": sol.iterations,
+        "residual": sol.residual,
+    }
+
+
 def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-10) -> HodgeSplit:
     """Split a 1-cochain into exact, co-exact and harmonic parts.
 
@@ -219,8 +227,7 @@ def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-
         pythagoras_defect=abs(norm_alpha**2 - sum(norms_sq)) / max(norm_alpha**2, np.finfo(float).tiny),
         norm_d_gamma_l2=_interior_l2_norm(apply_d(gamma, cx), cx, stars),
         norm_delta_gamma_l2=_interior_l2_norm(dec.codifferential(gamma, cx, stars), cx, stars),
-        iterations=sol_b.iterations + sol_w.iterations,
-        solver_residual=max(sol_b.residual, sol_w.residual),
+        solver={"vertex": _solve_stats(sol_b), "face": _solve_stats(sol_w)},
     )
     return HodgeSplit(
         beta=Cochain(0, beta), omega=Cochain(2, omega), gamma=gamma, diagnostics=diagnostics

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -313,3 +315,133 @@ class TestSolver:
         r2 = dec.solve_spd(A, b)
         assert np.array_equal(r1.x, r2.x)
         assert r1.iterations == r2.iterations
+
+    @pytest.mark.parametrize(
+        "A", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]], ids=["singular", "indefinite"]
+    )
+    def test_breakdown_is_convergence_error(self, A):
+        # p.Ap = 0 (singular) or < 0 (indefinite) at the first step
+        with pytest.raises(ConvergenceError, match="broke down") as err:
+            dec.solve_spd(sp.csr_matrix(np.array(A)), np.array([1.0, -1.0]))
+        assert err.value.iterations == 0
+        assert err.value.residual == 1.0
+
+    def test_rhs_within_floor_builds_nothing(self, rng, monkeypatch):
+        def unreachable(A, diag):
+            raise AssertionError("hierarchy built for a right-hand side x = 0 already meets")
+
+        monkeypatch.setattr(dec, "_multigrid", unreachable)
+        A = positive_band(2000)
+        b = 1e-14 * rng.standard_normal(2000)
+        res = dec.solve_spd(A, b, residual_floor=1e-12)
+        assert np.all(res.x == 0.0)
+        assert (res.iterations, res.levels, res.residual) == (0, 0, 1.0)
+
+    def test_large_indefinite_matrix_is_convergence_error(self, rng):
+        # a shifted path Laplacian: positive diagonal, negative couplings, so
+        # multigrid builds levels, but some eigenvalues are negative
+        n = 2000
+        A = sp.diags([-np.ones(n - 1), 1.5 * np.ones(n), -np.ones(n - 1)], [-1, 0, 1], format="csr")
+        with pytest.raises(ConvergenceError):
+            dec.solve_spd(A, rng.standard_normal(n))
+
+
+def potential_blocks(disc):
+    """The vertex and face blocks that `decompose` solves."""
+    _, _, P, Q = disc.potential_maps
+    s1 = sp.diags(disc.stars.star1)
+    return (P.T @ s1 @ P).tocsr(), (Q.T @ s1 @ Q).tocsr()
+
+
+def with_index_dtype(A, dtype):
+    """A copy of a CSR matrix whose index arrays have the given dtype."""
+    A = A.copy()
+    A.indices, A.indptr = A.indices.astype(dtype), A.indptr.astype(dtype)
+    return A
+
+
+def positive_band(n):
+    """5 I plus +1 couplings at offsets 1 and 2: SPD, no negative off-diagonal."""
+    off = [np.ones(n - d) for d in (2, 1, 1, 2)]
+    return sp.diags([off[0], off[1], 5.0 * np.ones(n), off[2], off[3]], [-2, -1, 0, 1, 2], format="csr")
+
+
+def path_laplacian(n):
+    """A weighted Dirichlet path Laplacian; unequal weights, so couplings rarely tie."""
+    w = 1.0 + 0.5 * np.sin(np.arange(n + 1))
+    return sp.diags([-w[1:n], w[:n] + w[1:], -w[1:n]], [-1, 0, 1], format="csr")
+
+
+def path_laplacian_beside_band(n_lap, n_band):
+    """A path Laplacian, which coarsens, beside a positive band, which does not."""
+    return sp.block_diag([path_laplacian(n_lap), positive_band(n_band)], format="csr")
+
+
+class TestMultigrid:
+    @pytest.fixture(scope="class")
+    def blocks(self, discretize):
+        return potential_blocks(discretize(1.0, 3.0, 0.1))
+
+    def test_coarse_size_splits_jacobi_from_multigrid(self, rng):
+        for n, levels in ((dec.COARSE_SIZE, 0), (dec.COARSE_SIZE + 1, 1)):
+            assert dec.solve_spd(path_laplacian(n), rng.standard_normal(n)).levels == levels
+
+    def test_vcycle_is_symmetric_and_positive(self, blocks, rng):
+        _, A = blocks
+        precondition, levels = dec._multigrid(A, A.diagonal())
+        assert levels >= 2
+        for _ in range(5):
+            u, v = rng.standard_normal((2, A.shape[0]))
+            Mu, Mv = precondition(u), precondition(v)
+            scale = np.linalg.norm(Mu) * np.linalg.norm(v)
+            assert abs(np.dot(Mu, v) - np.dot(u, Mv)) <= 1e-12 * scale
+            assert np.dot(u, Mu) > 0.0
+
+    @pytest.mark.parametrize("block", [0, 1], ids=["vertex", "face"])
+    def test_agrees_with_direct_solve(self, blocks, rng, block):
+        from scipy.sparse.linalg import spsolve
+
+        A = blocks[block]
+        b = rng.standard_normal(A.shape[0])
+        res = dec.solve_spd(A, b, tol=1e-13)
+        assert res.levels >= 2
+        expected = spsolve(A.tocsc(), b)
+        assert np.linalg.norm(res.x - expected) <= 1e-8 * np.linalg.norm(expected)
+
+    def test_repeat_is_bitwise(self, blocks, rng):
+        _, A = blocks
+        b = rng.standard_normal(A.shape[0])
+        r1, r2 = dec.solve_spd(A, b), dec.solve_spd(A, b)
+        assert np.array_equal(r1.x, r2.x)
+        assert (r1.iterations, r1.levels) == (r2.iterations, r2.levels)
+
+    def test_face_iterations_grow_slowly_under_refinement(self, discretize, rng):
+        # Jacobi needs about twice the iterations per halving of h on this block
+        its = []
+        for h in (0.1, 0.05):
+            _, A = potential_blocks(discretize(1.0, 3.0, h))
+            its.append(dec.solve_spd(A, rng.standard_normal(A.shape[0])).iterations)
+        assert its[1] < 1.5 * its[0]
+
+    @pytest.mark.parametrize(
+        "make", [lambda: positive_band(2000), lambda: path_laplacian_beside_band(1800, 200)],
+        ids=["positive-band", "laplacian-beside-band"],
+    )
+    def test_coarsening_stops_where_pairing_stalls(self, make, rng):
+        A = make()
+        n = A.shape[0]
+        b = rng.standard_normal(n)
+        res = dec.solve_spd(A, b)
+        assert np.linalg.norm(A @ res.x - b) <= 1e-9 * np.linalg.norm(b)
+        assert res.levels <= math.log2(n)
+        wide = dec.solve_spd(with_index_dtype(A, np.int64), b)
+        assert np.array_equal(res.x, wide.x)
+        assert (res.iterations, res.levels) == (wide.iterations, wide.levels)
+
+    def test_index_width_does_not_change_the_solve(self, blocks, rng):
+        _, A = blocks
+        b = rng.standard_normal(A.shape[0])
+        narrow = dec.solve_spd(with_index_dtype(A, np.int32), b)
+        wide = dec.solve_spd(with_index_dtype(A, np.int64), b)
+        assert np.array_equal(narrow.x, wide.x)
+        assert (narrow.iterations, narrow.levels) == (wide.iterations, wide.levels)

@@ -143,6 +143,34 @@ class TestCli:
                      "--out", str(tmp_path / "out.json")])
         assert code == 1
 
+    def test_decompose_reports_solver_statistics_per_block(self, tmp_path, discretize):
+        disc = discretize(1.0, 3.0, 0.1)  # both blocks above dec.COARSE_SIZE
+        mesh_path = tmp_path / "m.json"
+        io.save_mesh(disc.mesh, mesh_path)
+        sizes = {
+            "vertex": int(disc.cx.interior_vertices.sum()),
+            "face": int(disc.cx.interior_faces.sum()),
+        }
+        reports = {}
+        for form in ("mixed", "dx", "mixed"):
+            path = tmp_path / "split.json"
+            assert main(["decompose", "--mesh", str(mesh_path), "--form", f"builtin:{form}",
+                         "--seed", "3", "--deterministic", "--out", str(path)]) == 0
+            if form in reports:  # the multigrid path is deterministic too
+                assert path.read_bytes() == reports[form]
+            reports[form] = path.read_bytes()
+        solvers = {form: json.loads(report)["solver"] for form, report in reports.items()}
+        assert set(solvers["mixed"]) == {"vertex", "face"}
+        for name, block in solvers["mixed"].items():
+            assert set(block) == {"size", "levels", "iterations", "residual"}
+            assert block["size"] == sizes[name]
+            assert block["levels"] >= 2 and block["iterations"] >= 1
+            assert block["residual"] <= 1e-8
+        # dx is exact: its face right-hand side is roundoff, which x = 0 already
+        # meets, so that solve builds no hierarchy
+        face = solvers["dx"]["face"]
+        assert (face["size"], face["levels"], face["iterations"]) == (sizes["face"], 0, 0)
+
     def test_deterministic_reports_are_byte_identical(self, tmp_path):
         mesh_path = tmp_path / "m.json"
         main(["mesh", "--curvature", "1", "--radius", "1", "--edge", "0.2",
