@@ -94,10 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_form(name: str, disc: Discretization, seed: int):
-    """A builtin form, or a cochain file checked against the mesh's checksum."""
+    """A builtin form, or a cochain file checked against the mesh's checksum
+    (or its legacy checksum, for a file written before the array digest)."""
     if name.startswith("builtin:"):
         return forms.builtin_form(name.split(":", 1)[1], disc.mesh, disc.cx, disc.stars, seed=seed)
-    return io.load_cochain(name, disc.checksum)
+    return io.load_cochain(name, disc.checksum, disc.mesh)
 
 
 def _base_report(args, disc: Discretization) -> dict:

@@ -87,7 +87,7 @@ class SplitDiagnostics:
     pythagoras_defect: float  # relative to |alpha|^2
     norm_d_gamma_l2: float
     norm_delta_gamma_l2: float
-    solver: dict  # per block, "vertex" and "face": size, levels (0 = Jacobi), iterations, residual
+    solver: dict  # per block, "vertex" and "face": size, nnz, levels (0 = Jacobi), iterations, residual
 
     def orthogonality_defect(self) -> float:
         """Largest pairwise inner product relative to |alpha|^2."""
@@ -159,13 +159,19 @@ def _optimality_terms(x: np.ndarray, P, Q, star1: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.norm(P.T @ w), np.linalg.norm(Q.T @ w)])
 
 
-def _solve_stats(sol: dec.SolveResult) -> dict:
-    return {
+def _solve_block(M, s1, s1_alpha: np.ndarray, tol: float, floor: float):
+    """Solve the normal equations M^T s1 M x = M^T s1 alpha of one potential
+    block; x and the block's solver statistics."""
+    A = (M.T @ (s1 @ M).tocsc()).tocsr()
+    sol = dec.solve_spd(A, M.T @ s1_alpha, tol, residual_floor=floor)
+    stats = {
         "size": sol.x.size,
+        "nnz": A.nnz,
         "levels": sol.levels,
         "iterations": sol.iterations,
         "residual": sol.residual,
     }
+    return sol.x, stats
 
 
 def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-10) -> HodgeSplit:
@@ -194,19 +200,15 @@ def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-
         _optimality_terms(np.abs(alpha.values), abs(P), abs(Q), stars.star1), np.finfo(float).tiny
     )
     floors = 100.0 * np.finfo(float).eps * scales
-    sol_b = dec.solve_spd(
-        (P.T @ (s1 @ P).tocsc()).tocsr(), P.T @ s1_alpha, tol, residual_floor=floors[0]
-    )
-    sol_w = dec.solve_spd(
-        (Q.T @ (s1 @ Q).tocsc()).tocsr(), Q.T @ s1_alpha, tol, residual_floor=floors[1]
-    )
+    x_b, stats_b = _solve_block(P, s1, s1_alpha, tol, floors[0])
+    x_w, stats_w = _solve_block(Q, s1, s1_alpha, tol, floors[1])
     beta = np.zeros(cx.num_vertices)
-    beta[vi] = sol_b.x
+    beta[vi] = x_b
     omega = np.zeros(cx.num_faces)
-    omega[fi] = sol_w.x
+    omega[fi] = x_w
 
-    d_beta = Cochain(1, P @ sol_b.x)
-    delta_omega = Cochain(1, Q @ sol_w.x)
+    d_beta = Cochain(1, P @ x_b)
+    delta_omega = Cochain(1, Q @ x_w)
     gamma = Cochain(1, alpha.values - d_beta.values - delta_omega.values)
 
     norms_sq = [
@@ -227,7 +229,7 @@ def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-
         pythagoras_defect=abs(norm_alpha**2 - sum(norms_sq)) / max(norm_alpha**2, np.finfo(float).tiny),
         norm_d_gamma_l2=_interior_l2_norm(apply_d(gamma, cx), cx, stars),
         norm_delta_gamma_l2=_interior_l2_norm(dec.codifferential(gamma, cx, stars), cx, stars),
-        solver={"vertex": _solve_stats(sol_b), "face": _solve_stats(sol_w)},
+        solver={"vertex": stats_b, "face": stats_w},
     )
     return HodgeSplit(
         beta=Cochain(0, beta), omega=Cochain(2, omega), gamma=gamma, diagnostics=diagnostics

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ from .simplicial import Cochain
 
 __all__ = [
     "mesh_checksum",
+    "legacy_mesh_checksum",
     "save_mesh",
     "load_mesh",
     "save_cochain",
@@ -28,26 +31,87 @@ __all__ = [
 ]
 
 
-def _canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def mesh_checksum(mesh: TriMesh) -> str:
+    """sha256 over the mesh's raw arrays: a fixed header, then the curvature
+    (float64), the shapes (V, 2, F, 3) (int64), the vertices (float64) and
+    the triangles (int64), all little-endian and C-ordered.
+
+    Two meshes get equal digests exactly when their curvature and vertex bits
+    and their triangles are equal, as for `legacy_mesh_checksum`.
+    """
+    vertices = np.ascontiguousarray(mesh.vertices, dtype="<f8")
+    triangles = np.ascontiguousarray(mesh.triangles, dtype="<i8")
+    digest = hashlib.sha256(b"hodgedec mesh v2")
+    digest.update(np.array([mesh.curvature], dtype="<f8"))
+    digest.update(np.array(vertices.shape + triangles.shape, dtype="<i8"))
+    digest.update(vertices)
+    digest.update(triangles)
+    return digest.hexdigest()
+
+
+def legacy_mesh_checksum(mesh: TriMesh) -> str:
+    """The digest that cochain files carried before `mesh_checksum` hashed raw
+    arrays: sha256 of the mesh as compact, key-sorted JSON text."""
     payload = {
         "curvature": float(mesh.curvature),
         "vertices": mesh.vertices.tolist(),
         "triangles": mesh.triangles.tolist(),
     }
-    return hashlib.sha256(_canonical_dumps(payload).encode()).hexdigest()
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
+
+
+def _plain_numbers(values) -> bool:
+    """True when every entry is an int, or every entry a finite float (exact types)."""
+    types = set(map(type, values))
+    return types == {int} or (types == {float} and all(map(math.isfinite, values)))
+
+
+def _render(value) -> str:
+    """`value` as it appears one level deep in `_dumps` of a dict.
+
+    json.dumps runs its pure-Python encoder whenever `indent` is set, so a
+    flat list of plain numbers, or equal-length rows of them, is formatted
+    here with the reprs that encoder uses. Anything else, including a
+    non-finite float, goes to `_dumps`, re-indented by the two spaces of its
+    depth (JSON strings hold no raw newline).
+    """
+    if type(value) is list and value:
+        if _plain_numbers(value):
+            return "[\n    " + ",\n    ".join(map(repr, value)) + "\n  ]"
+        width = len(value[0]) if type(value[0]) is list else 0
+        if width and all(type(row) is list and len(row) == width for row in value):
+            flat = tuple(chain.from_iterable(value))
+            if _plain_numbers(flat):
+                row = "[\n      " + ",\n      ".join(["%r"] * width) + "\n    ]"
+                return "[\n    " + ",\n    ".join([row] * len(value)) % flat + "\n  ]"
+    return _dumps(value).replace("\n", "\n  ")
 
 
 def save_json(obj: dict, path) -> None:
-    """Write obj as JSON; a NaN or infinite number is an error and nothing is written."""
+    """Write obj as JSON; a NaN or infinite number is an error and nothing is written.
+
+    The bytes are those of json.dumps(obj, sort_keys=True, indent=2,
+    allow_nan=False) followed by a newline. The value of each key is written
+    as its own piece, never joined into one text, which keeps the peak memory
+    of a large report down.
+    """
     try:
-        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+        if type(obj) is dict and obj and all(type(key) is str for key in obj):
+            pieces = ["{\n  "]
+            for key in sorted(obj):
+                pieces += [json.dumps(key), ": ", _render(obj[key]), ",\n  "]
+            pieces[-1] = "\n}\n"
+        else:
+            pieces = [_dumps(obj), "\n"]
     except ValueError:
         raise ConfigError(f"not writing {path}: a value is not finite (NaN or infinity)") from None
-    Path(path).write_text(text + "\n")
+    with open(path, "w") as fh:
+        fh.writelines(pieces)
 
 
 def load_json(path) -> dict:
@@ -115,15 +179,17 @@ def save_cochain(c: Cochain, mesh: TriMesh, path) -> None:
     )
 
 
-def load_cochain(path, checksum: str) -> Cochain:
-    """Read a cochain file stamped with `checksum`, the `mesh_checksum` of its mesh."""
+def load_cochain(path, checksum: str, mesh: TriMesh) -> Cochain:
+    """Read a cochain file stamped with `checksum`, the `mesh_checksum` of `mesh`,
+    or with the mesh's `legacy_mesh_checksum`, as files written before the
+    array digest were."""
     data = _load_object(path, "cochain")
     degree = _field(data, "degree", path, "cochain")
     if isinstance(degree, bool) or not isinstance(degree, int):
         raise ConfigError(f"cochain file {path}: degree must be an integer")
     values = _array(data, "values", path, "cochain", dtype=float)
     stamp = str(_field(data, "mesh_checksum", path, "cochain"))
-    if stamp != checksum:
+    if stamp != checksum and stamp != legacy_mesh_checksum(mesh):
         raise ChecksumError(
             f"cochain file {path} was built against mesh {stamp[:12]}..., "
             f"not the supplied mesh {checksum[:12]}..."

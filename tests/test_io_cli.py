@@ -4,16 +4,18 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hodgedec as hd
 from hodgedec import dec, geometry, io, weitzenbock
 from hodgedec.cli import main
-from hodgedec.errors import ChecksumError
+from hodgedec.errors import ChecksumError, ConfigError
 from hodgedec.simplicial import Cochain
 
 from conftest import make_lattice_mesh, make_triangle_beside_torus, unreachable_placement
@@ -42,7 +44,7 @@ class TestFiles:
         c = Cochain(1, rng.standard_normal(cx.num_edges))
         path = tmp_path / "form.json"
         io.save_cochain(c, mesh, path)
-        loaded = io.load_cochain(path, io.mesh_checksum(mesh))
+        loaded = io.load_cochain(path, io.mesh_checksum(mesh), mesh)
         assert loaded.degree == 1
         np.testing.assert_array_equal(loaded.values, c.values)
 
@@ -53,18 +55,66 @@ class TestFiles:
         io.save_cochain(c, mesh, path)
         other = hd.ball_mesh(1.0, 1.0, 0.25)
         with pytest.raises(ChecksumError):
-            io.load_cochain(path, io.mesh_checksum(other))
+            io.load_cochain(path, io.mesh_checksum(other), other)
 
     def test_checksum_pinned(self):
-        # cochain files carry this digest; it must not change with the encoder
+        # cochain files carry these digests; they must not change with the encoder
         flat = make_lattice_mesh()
         curved = hd.TriMesh(0.5 * flat.vertices, flat.triangles, 0.75)
-        assert io.mesh_checksum(flat) == (
+        assert io.legacy_mesh_checksum(flat) == (
             "c2cd7e33344d95a2ea5fd0cbcccaac3939eb9ab9b50323e11d6cffa709cf3e70"
         )
-        assert io.mesh_checksum(curved) == (
+        assert io.legacy_mesh_checksum(curved) == (
             "aad33aefbc83c1fa97f06abf8d7e0d36240c840c7d87c3e5785d15edb8cb1863"
         )
+        assert io.mesh_checksum(flat) == (
+            "4853268aa64a7e9fcb45f262e30c0a8f3661a81c773637759b3cc815ea949fce"
+        )
+        assert io.mesh_checksum(curved) == (
+            "2a21b90f9c0641d6fa1f86a2b931cb804ead56b43dc2e5af31f440962402d065"
+        )
+
+    @pytest.mark.parametrize("change", ["ulp", "signed-zero", "curvature-ulp"])
+    def test_checksum_sees_every_bit(self, change):
+        # both digests tell the meshes apart: float repr round-trips the bits
+        flat = make_lattice_mesh()
+        base = hd.TriMesh(0.5 * flat.vertices, flat.triangles, 0.75)
+        vertices, curvature = base.vertices.copy(), base.curvature
+        if change == "ulp":
+            vertices[7, 1] = np.nextafter(vertices[7, 1], np.inf)
+        elif change == "signed-zero":
+            assert vertices[0, 0] == 0.0
+            vertices[0, 0] = -0.0
+        else:
+            curvature = float(np.nextafter(curvature, 1.0))
+        other = hd.TriMesh(vertices, base.triangles, curvature)
+        assert io.mesh_checksum(other) != io.mesh_checksum(base)
+        assert io.legacy_mesh_checksum(other) != io.legacy_mesh_checksum(base)
+
+    def test_checksum_ignores_index_dtype_and_layout(self):
+        mesh = make_lattice_mesh()
+        expected = io.mesh_checksum(mesh)
+        # every other row of arrays that hold each row twice: strided views
+        wide = np.asfortranarray(np.repeat(mesh.vertices, 2, axis=0))[::2]
+        tri = np.repeat(mesh.triangles, 2, axis=0)[::2]
+        assert not wide.flags.c_contiguous and not tri.flags.c_contiguous
+        for triangles in (tri, tri.astype(np.int32), mesh.triangles.astype(np.int32)):
+            # the checksum converts the arrays itself, whatever TriMesh would do
+            raw = SimpleNamespace(vertices=wide, triangles=triangles, curvature=mesh.curvature)
+            assert io.mesh_checksum(raw) == expected
+            assert io.mesh_checksum(hd.TriMesh(wide, triangles, mesh.curvature)) == expected
+
+    def test_legacy_stamp_loads(self, small_mesh, tmp_path, rng):
+        mesh, cx, _, _ = small_mesh
+        c = Cochain(1, rng.standard_normal(cx.num_edges))
+        path = tmp_path / "form.json"
+        io.save_json({"degree": 1, "values": c.values.tolist(),
+                      "mesh_checksum": io.legacy_mesh_checksum(mesh)}, path)
+        loaded = io.load_cochain(path, io.mesh_checksum(mesh), mesh)
+        np.testing.assert_array_equal(loaded.values, c.values)
+        with pytest.raises(ChecksumError):
+            other = hd.ball_mesh(1.0, 1.0, 0.25)
+            io.load_cochain(path, io.mesh_checksum(other), other)
 
 
 class TestCli:
@@ -143,6 +193,52 @@ class TestCli:
                      "--out", str(tmp_path / "out.json")])
         assert code == 1
 
+    def test_legacy_stamped_cochain_loads(self, small_mesh, tmp_path):
+        # a cochain file written before the array digest carries the JSON-text one
+        mesh, cx, stars, mesh_path = small_mesh
+        form = hd.builtin_form("coexact", mesh, cx, stars, seed=2)
+        form_path = tmp_path / "form.json"
+        io.save_json({"degree": 1, "values": form.values.tolist(),
+                      "mesh_checksum": io.legacy_mesh_checksum(mesh)}, form_path)
+        for command in ("decompose", "stream"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, "--mesh", str(mesh_path), "--form", str(form_path),
+                         "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["mesh_checksum"] == io.mesh_checksum(mesh)
+
+    def test_legacy_stamp_of_another_mesh_exit_code(self, small_mesh, tmp_path):
+        _, _, _, mesh_path = small_mesh
+        other = hd.ball_mesh(1.0, 1.0, 0.25)
+        form_path = tmp_path / "form.json"
+        io.save_json({"degree": 1, "values": [0.0] * hd.build_complex(other).num_edges,
+                      "mesh_checksum": io.legacy_mesh_checksum(other)}, form_path)
+        out = tmp_path / "out.json"
+        assert main(["decompose", "--mesh", str(mesh_path), "--form", str(form_path),
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
+    def test_written_files_redump_to_themselves(self, tmp_path):
+        mesh_path, form_path = tmp_path / "m.json", tmp_path / "form.json"
+        assert main(["mesh", "--curvature", "1", "--radius", "3", "--edge", "0.3",
+                     "--out", str(mesh_path)]) == 0
+        mesh = io.load_mesh(mesh_path)
+        cx = hd.build_complex(mesh)
+        io.save_cochain(hd.builtin_form("coexact", mesh, cx, hd.assemble_stars(mesh, cx), seed=4),
+                        mesh, form_path)
+        paths = [mesh_path, form_path]
+        for i, argv in enumerate([
+            ["decompose", "--mesh", str(mesh_path), "--form", "builtin:mixed"],
+            ["decompose", "--mesh", str(mesh_path), "--form", str(form_path), "--deterministic"],
+            ["stream", "--mesh", str(mesh_path), "--form", str(form_path)],
+            ["truncate", "--mesh", str(mesh_path), "--radii", "1.2,1.4"],
+            ["verify-tensor", "--max-dim", "3", "--trials", "2"],
+        ]):
+            paths.append(tmp_path / f"out{i}.json")
+            assert main(argv + ["--out", str(paths[-1])]) == 0
+        for path in paths:
+            text = path.read_text()
+            assert json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n" == text
+
     def test_decompose_reports_solver_statistics_per_block(self, tmp_path, discretize):
         disc = discretize(1.0, 3.0, 0.1)  # both blocks above dec.COARSE_SIZE
         mesh_path = tmp_path / "m.json"
@@ -151,6 +247,9 @@ class TestCli:
             "vertex": int(disc.cx.interior_vertices.sum()),
             "face": int(disc.cx.interior_faces.sum()),
         }
+        _, _, P, Q = disc.potential_maps
+        s1 = sp.diags(disc.stars.star1)
+        nnz = {"vertex": (P.T @ s1 @ P).tocsr().nnz, "face": (Q.T @ s1 @ Q).tocsr().nnz}
         reports = {}
         for form in ("mixed", "dx", "mixed"):
             path = tmp_path / "split.json"
@@ -162,14 +261,17 @@ class TestCli:
         solvers = {form: json.loads(report)["solver"] for form, report in reports.items()}
         assert set(solvers["mixed"]) == {"vertex", "face"}
         for name, block in solvers["mixed"].items():
-            assert set(block) == {"size", "levels", "iterations", "residual"}
+            assert set(block) == {"size", "nnz", "levels", "iterations", "residual"}
             assert block["size"] == sizes[name]
+            assert block["nnz"] == nnz[name]
             assert block["levels"] >= 2 and block["iterations"] >= 1
             assert block["residual"] <= 1e-8
         # dx is exact: its face right-hand side is roundoff, which x = 0 already
         # meets, so that solve builds no hierarchy
         face = solvers["dx"]["face"]
-        assert (face["size"], face["levels"], face["iterations"]) == (sizes["face"], 0, 0)
+        assert (face["size"], face["nnz"], face["levels"], face["iterations"]) == (
+            sizes["face"], nnz["face"], 0, 0
+        )
 
     def test_deterministic_reports_are_byte_identical(self, tmp_path):
         mesh_path = tmp_path / "m.json"
@@ -274,10 +376,13 @@ class TestRunParameters:
 
     def test_cochain_file_checksummed_once(self, discretize, tmp_path, monkeypatch):
         disc = discretize(1.0, 3.0, 0.2)  # wide enough for the cutoff scale R = 1.2
-        path, form = tmp_path / "mesh.json", tmp_path / "form.json"
+        path, form, legacy = tmp_path / "mesh.json", tmp_path / "form.json", tmp_path / "legacy.json"
         io.save_mesh(disc.mesh, path)
         coexact = hd.builtin_form("coexact", disc.mesh, disc.cx, disc.stars, seed=1)
         io.save_cochain(coexact, disc.mesh, form)
+        # a file stamped before the array digest is checked against the legacy one as well
+        io.save_json({**json.loads(form.read_text()),
+                      "mesh_checksum": io.legacy_mesh_checksum(disc.mesh)}, legacy)
         calls = []
 
         def counted(m):
@@ -286,12 +391,13 @@ class TestRunParameters:
 
         checksum = io.mesh_checksum
         monkeypatch.setattr(io, "mesh_checksum", counted)
-        for command in ("decompose", "stream", "truncate"):
-            calls.clear()
-            extra = ["--radii", "1.2"] if command == "truncate" else []
-            assert main([command, "--mesh", str(path), "--form", str(form), *extra,
-                         "--out", str(tmp_path / f"{command}.json")]) == 0
-            assert len(calls) == 1
+        for cochain in (form, legacy):
+            for command in ("decompose", "stream", "truncate"):
+                calls.clear()
+                extra = ["--radii", "1.2"] if command == "truncate" else []
+                assert main([command, "--mesh", str(path), "--form", str(cochain), *extra,
+                             "--out", str(tmp_path / f"{command}.json")]) == 0
+                assert len(calls) == 1
         calls.clear()
         assert main(["convergence", "--curvature", "1", "--radius", "1", "--levels", "1",
                      "--out", str(tmp_path / "conv.csv")]) == 0
@@ -440,6 +546,63 @@ class TestMalformedFileProperty:
             assert _all_finite(json.loads(out.read_text()))
         else:
             assert not out.exists()
+
+
+_edge_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-7, 1.7976931348623157e308, 0.1]),
+)
+_edge_ints = st.one_of(st.integers(-5, 5), st.integers(-(2**80), 2**80), st.booleans())
+_edge_strings = st.one_of(
+    st.text(max_size=4),
+    st.sampled_from(["", "\u00e9t\u00e9", "a\nb", '"', "\\", "\u2028", "\x00", "\U0001f600"]),
+)
+# flat lists and rows, some equal-length, some ragged, some mixing ints, floats and bools
+_edge_lists = st.one_of(
+    st.lists(_edge_floats, max_size=5),
+    st.lists(_edge_ints, max_size=5),
+    st.lists(_edge_floats | _edge_ints, max_size=5),
+    st.integers(0, 3).flatmap(lambda w: st.lists(
+        st.lists(_edge_floats, min_size=w, max_size=w) | st.lists(_edge_ints, min_size=w, max_size=w),
+        min_size=1, max_size=4)),
+    st.lists(st.lists(_edge_floats | _edge_ints, max_size=3), max_size=4),
+)
+_json_like = st.recursive(
+    st.one_of(st.none(), _edge_floats, _edge_ints, _edge_strings, _edge_lists),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_edge_strings, kids, max_size=3),
+    max_leaves=8,
+)
+_documents = st.dictionaries(_edge_strings, _json_like, max_size=5)
+
+
+def _plant(value, bad, path):
+    """value with `bad` in place of the part that the integers in `path` lead to."""
+    if path and isinstance(value, dict) and value:
+        key = sorted(value)[path[0] % len(value)]
+        return {**value, key: _plant(value[key], bad, path[1:])}
+    if path and isinstance(value, list) and value:
+        i = path[0] % len(value)
+        return value[:i] + [_plant(value[i], bad, path[1:])] + value[i + 1:]
+    return bad
+
+
+class TestSaveJson:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(doc=_documents)
+    def test_bytes_are_those_of_json_dumps(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("json") / "doc.json"
+        io.save_json(doc, path)
+        expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(doc=_documents.filter(bool), bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+           path=st.lists(st.integers(0, 10), min_size=1, max_size=5))
+    def test_non_finite_value_anywhere_writes_nothing(self, tmp_path_factory, doc, bad, path):
+        out = tmp_path_factory.mktemp("json") / "doc.json"
+        with pytest.raises(ConfigError, match="not finite"):
+            io.save_json(_plant(doc, bad, path), out)
+        assert not out.exists()
 
 
 # valid draws stay small (at most 20 rings, a * rho <= 5, a few thousand vertices)
