@@ -9,9 +9,7 @@ exact rational arithmetic.
 from .dec import (
     StarWeights,
     assemble_stars,
-    bochner,
     codifferential,
-    hodge_laplacian,
     inner,
     norm,
     solve_spd,

@@ -14,11 +14,10 @@ import sys
 import time
 from pathlib import Path
 
-from . import dec, forms, hodge, io, weitzenbock
+from . import forms, hodge, io, weitzenbock
 from .errors import ConfigError, ConvergenceError
 from .geometry import ball_mesh, check_cutoff_scales
 from .hodge import Discretization
-from .simplicial import apply_d
 
 
 class _UsageError(Exception):
@@ -141,14 +140,11 @@ def _cmd_decompose(args) -> int:
                 "norm_gamma": d.norm_gamma,
                 "reconstruction_residual": d.reconstruction_residual,
                 "orthogonality": {
-                    "exact_coexact": d.ortho_exact_coexact,
                     "exact_harmonic": d.ortho_exact_harmonic,
                     "coexact_harmonic": d.ortho_coexact_harmonic,
                     "defect": d.orthogonality_defect(),
                 },
                 "pythagoras_defect": d.pythagoras_defect,
-                "norm_d_gamma_l2": d.norm_d_gamma_l2,
-                "norm_delta_gamma_l2": d.norm_delta_gamma_l2,
             },
             "harmonic": {
                 "energy": harm.energy,
@@ -213,17 +209,15 @@ def _cmd_convergence(args) -> int:
     for level in range(args.levels):
         h = args.edge / (2**level)
         disc = Discretization(ball_mesh(args.curvature, args.radius, h))
-        cx, stars = disc.cx, disc.stars
         alpha = _load_form(args.form, disc, args.seed)
+        # closedness of the level's input form: the sampling-consistency trend
+        inp = hodge.harmonic_diagnostics(alpha, disc)
+        if inp.degenerate:
+            raise ConfigError(f"convergence: the input form has zero L2 norm at level {level}")
+        in_d, in_delta = inp.d_residual, inp.delta_residual
         split = hodge.decompose(alpha, args.space, disc, tol=args.tol)
         rep = hodge.harmonic_diagnostics(split.gamma, disc)  # residuals 0.0 when degenerate
         d = split.diagnostics
-        norm_alpha_l2 = dec.norm(alpha, "l2", cx, stars)
-        # closedness of the level's input form: the sampling-consistency trend
-        in_d = hodge._interior_l2_norm(apply_d(alpha, cx), cx, stars) / norm_alpha_l2
-        in_delta = (
-            hodge._interior_l2_norm(dec.codifferential(alpha, cx, stars), cx, stars) / norm_alpha_l2
-        )
         deficit = 1.0 - d.norm_gamma**2 / d.norm_alpha**2
         ratio = rep.bound_ratio if rep.bound_ratio is not None else float("nan")
         row = (level, h, in_d, in_delta, rep.d_residual, rep.delta_residual, ratio,

@@ -1,5 +1,5 @@
 """Metric structure on the complex: Hodge stars, codifferential, inner products,
-Laplacians, and the conjugate-gradient solver backing the decompositions.
+and the conjugate-gradient solver backing the decompositions.
 
 Star weights come from the intrinsic (secant) treatment of curved triangles:
 each face is replaced by the Euclidean triangle with the same geodesic edge
@@ -31,8 +31,6 @@ __all__ = [
     "curvature_constant",
     "inner",
     "norm",
-    "hodge_laplacian",
-    "bochner",
     "solve_spd",
     "continuum_codifferential_sign",
 ]
@@ -208,22 +206,6 @@ def inner(
 
 def norm(u: Cochain, space: str, cx: SimplicialComplex, stars: StarWeights) -> float:
     return math.sqrt(max(inner(u, u, space, cx, stars), 0.0))
-
-
-def hodge_laplacian(c: Cochain, cx: SimplicialComplex, stars: StarWeights) -> Cochain:
-    """-Delta = d delta + delta d, with degree-invalid terms dropped."""
-    out = np.zeros_like(c.values)
-    if c.degree < 2:
-        out += codifferential(apply_d(c, cx), cx, stars).values
-    if c.degree > 0:
-        out += apply_d(codifferential(c, cx, stars), cx).values
-    return Cochain(c.degree, out)
-
-
-def bochner(c: Cochain, cx: SimplicialComplex, stars: StarWeights) -> Cochain:
-    """Rough Laplacian: -Delta + a^2 k (N-k) * identity, per the space form identity."""
-    lap = hodge_laplacian(c, cx, stars)
-    return Cochain(c.degree, lap.values + curvature_constant(stars.curvature, c.degree) * c.values)
 
 
 def _not_positive(value: float) -> bool:

@@ -81,25 +81,17 @@ class SplitDiagnostics:
     norm_coexact: float  # |delta omega|
     norm_gamma: float
     reconstruction_residual: float  # L2 optimality of gamma, see _optimality_terms
-    ortho_exact_coexact: float  # <d beta, delta omega> in the space
+    # <d beta, delta omega> is not kept: dd = 0 and delta delta = 0 make it
+    # round-off in either space, whatever the potentials
     ortho_exact_harmonic: float
     ortho_coexact_harmonic: float
     pythagoras_defect: float  # relative to |alpha|^2
-    norm_d_gamma_l2: float
-    norm_delta_gamma_l2: float
     solver: dict  # per block, "vertex" and "face": size, nnz, levels (0 = Jacobi), iterations, residual
 
     def orthogonality_defect(self) -> float:
-        """Largest pairwise inner product relative to |alpha|^2."""
+        """Larger of the two pairings with gamma, relative to |alpha|^2."""
         scale = max(self.norm_alpha**2, np.finfo(float).tiny)
-        return (
-            max(
-                abs(self.ortho_exact_coexact),
-                abs(self.ortho_exact_harmonic),
-                abs(self.ortho_coexact_harmonic),
-            )
-            / scale
-        )
+        return max(abs(self.ortho_exact_harmonic), abs(self.ortho_coexact_harmonic)) / scale
 
 
 @dataclass
@@ -223,12 +215,9 @@ def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-
         reconstruction_residual=float(
             np.max(_optimality_terms(gamma.values, P, Q, stars.star1) / scales)
         ),
-        ortho_exact_coexact=dec.inner(d_beta, delta_omega, space, cx, stars),
         ortho_exact_harmonic=dec.inner(d_beta, gamma, space, cx, stars),
         ortho_coexact_harmonic=dec.inner(delta_omega, gamma, space, cx, stars),
         pythagoras_defect=abs(norm_alpha**2 - sum(norms_sq)) / max(norm_alpha**2, np.finfo(float).tiny),
-        norm_d_gamma_l2=_interior_l2_norm(apply_d(gamma, cx), cx, stars),
-        norm_delta_gamma_l2=_interior_l2_norm(dec.codifferential(gamma, cx, stars), cx, stars),
         solver={"vertex": stats_b, "face": stats_w},
     )
     return HodgeSplit(
@@ -245,9 +234,8 @@ def harmonic_diagnostics(gamma: Cochain, disc: Discretization) -> HarmonicReport
     interior simplices (against compact supports), consistent with the H1
     pairing.
     """
-    if gamma.degree != 1:
-        raise DegreeError("harmonic diagnostics need a degree-1 cochain")
     cx, stars = disc.cx, disc.stars
+    _check_edge_values(gamma, cx, "harmonic diagnostics")
     c = dec.curvature_constant(stars.curvature, 1)
     norm_sq = dec.inner(gamma, gamma, "l2", cx, stars)
     if norm_sq == 0.0:

@@ -93,7 +93,9 @@ def _render(value) -> str:
 
 
 def save_json(obj: dict, path) -> None:
-    """Write obj as JSON; a NaN or infinite number is an error and nothing is written.
+    """Write obj as JSON; a value the encoder refuses (a NaN or infinite number,
+    an int too long to print, a container that holds itself) is an error and
+    nothing is written.
 
     The bytes are those of json.dumps(obj, sort_keys=True, indent=2,
     allow_nan=False) followed by a newline. The value of each key is written
@@ -108,8 +110,11 @@ def save_json(obj: dict, path) -> None:
             pieces[-1] = "\n}\n"
         else:
             pieces = [_dumps(obj), "\n"]
-    except ValueError:
-        raise ConfigError(f"not writing {path}: a value is not finite (NaN or infinity)") from None
+    except ValueError as err:
+        reason = str(err)
+        if reason.startswith("Out of range float values"):  # the encoder's allow_nan message
+            reason = "a value is not finite (NaN or infinity)"
+        raise ConfigError(f"not writing {path}: {reason}") from None
     with open(path, "w") as fh:
         fh.writelines(pieces)
 

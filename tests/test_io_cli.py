@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import subprocess
@@ -13,12 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hodgedec as hd
-from hodgedec import dec, geometry, io, weitzenbock
+from hodgedec import dec, geometry, hodge, io, weitzenbock
 from hodgedec.cli import main
 from hodgedec.errors import ChecksumError, ConfigError
 from hodgedec.simplicial import Cochain
 
 from conftest import make_lattice_mesh, make_triangle_beside_torus, unreachable_placement
+
+# sha256 of `verify-tensor --max-dim 5 --trials 2 --seed 7 --deterministic`: the
+# suite is exact, so its report has the same bytes everywhere
+VERIFY_TENSOR_SHA256 = "de1adc7f0a8e83c78129c82d7f85768e7c08cbc04adab2b2b3e2c351885b5e81"
 
 
 @pytest.fixture()
@@ -166,6 +171,27 @@ class TestCli:
         assert len(payload["results"]) == 3 + 4 + 5  # every (N, k) pair up to N=4
         printed = capsys.readouterr().out
         assert "N=4 k=2" in printed
+
+    def test_verify_tensor_report_is_pinned(self, tmp_path):
+        out = tmp_path / "verify.json"
+        assert main(["verify-tensor", "--max-dim", "5", "--trials", "2", "--seed", "7",
+                     "--deterministic", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_TENSOR_SHA256
+
+    @pytest.mark.parametrize("space", ["l2", "h1"])
+    def test_decompose_orthogonality_is_the_two_pairings_with_gamma(
+        self, small_mesh, tmp_path, space
+    ):
+        path = tmp_path / "split.json"
+        assert main(["decompose", "--mesh", str(small_mesh[3]), "--form", "builtin:mixed",
+                     "--space", space, "--seed", "2", "--deterministic", "--out", str(path)]) == 0
+        diag = json.loads(path.read_text())["diagnostics"]
+        assert set(diag) == {"norm_alpha", "norm_exact", "norm_coexact", "norm_gamma",
+                             "reconstruction_residual", "orthogonality", "pythagoras_defect"}
+        ortho = diag["orthogonality"]
+        assert set(ortho) == {"exact_harmonic", "coexact_harmonic", "defect"}
+        larger = max(abs(ortho["exact_harmonic"]), abs(ortho["coexact_harmonic"]))
+        assert ortho["defect"] == larger / max(diag["norm_alpha"] ** 2, sys.float_info.min)
 
     def test_disconnected_mesh_file_is_validation_error(self, tmp_path, capsys):
         mesh_path, out = tmp_path / "m.json", tmp_path / "out.json"
@@ -355,6 +381,17 @@ class TestRunParameters:
         assert main(["convergence", "--curvature", "1", "--radius", "1", "--levels", "2",
                      f"--tol={tol}", "--out", str(out)]) == 1
         assert "tolerance" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_convergence_rejects_a_zero_form_before_solving(self, tmp_path, monkeypatch, capsys):
+        mesh = hd.ball_mesh(1.0, 1.5, 0.3)
+        form = tmp_path / "zero.json"
+        io.save_cochain(Cochain(1, np.zeros(hd.build_complex(mesh).num_edges)), mesh, form)
+        monkeypatch.setattr(hodge, "decompose", _unreachable)
+        out = tmp_path / "c.csv"
+        assert main(["convergence", "--curvature", "1", "--radius", "1.5", "--edge", "0.3",
+                     "--levels", "1", "--form", str(form), "--out", str(out)]) == 1
+        assert "zero L2 norm" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("radii", ["", ","])
@@ -602,6 +639,25 @@ class TestSaveJson:
         out = tmp_path_factory.mktemp("json") / "doc.json"
         with pytest.raises(ConfigError, match="not finite"):
             io.save_json(_plant(doc, bad, path), out)
+        assert not out.exists()
+
+
+def _holding_itself():
+    items = []
+    items.append(items)
+    return items
+
+
+class TestSaveJsonCause:
+    @pytest.mark.parametrize("value,cause", [
+        (10**5000, "integer string conversion"),
+        (_holding_itself(), "Circular reference"),
+    ], ids=["long-int", "self-containing-list"])
+    def test_other_encoder_errors_name_their_cause(self, tmp_path, value, cause):
+        out = tmp_path / "doc.json"
+        with pytest.raises(ConfigError, match=cause) as err:
+            io.save_json({"n": value}, out)
+        assert "not finite" not in str(err.value)
         assert not out.exists()
 
 
