@@ -10,13 +10,14 @@ byte-identical output. Exit codes: 0 success, 1 validation error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
 
 from . import forms, hodge, io, weitzenbock
 from .errors import ConfigError, ConvergenceError
-from .geometry import ball_mesh, check_cutoff_scales
+from .geometry import ball_mesh, ball_ring_sizes, check_cutoff_scales
 from .hodge import Discretization
 
 
@@ -202,12 +203,17 @@ def _cmd_convergence(args) -> int:
         raise ConfigError("--levels must be at least 1")
     if not 0.0 < args.tol < 1.0:
         raise ConfigError(f"--tol: the solver tolerance must lie in (0, 1), got {args.tol!r}")
+    if args.levels > 1 and not args.form.startswith("builtin:"):
+        raise ConfigError("--form: a cochain file belongs to one mesh and each level meshes "
+                          "a new ball; use a builtin form or --levels 1")
+    # the finest level's parameter and vertex-cap checks, before any level is meshed
+    ball_ring_sizes(args.curvature, args.radius, math.ldexp(args.edge, 1 - args.levels))
     lines = [
         "level,h,d_residual_input,delta_residual_input,d_residual_gamma,"
         "delta_residual_gamma,energy_ratio,ortho_defect,harmonic_deficit"
     ]
     for level in range(args.levels):
-        h = args.edge / (2**level)
+        h = math.ldexp(args.edge, -level)
         disc = Discretization(ball_mesh(args.curvature, args.radius, h))
         alpha = _load_form(args.form, disc, args.seed)
         # closedness of the level's input form: the sampling-consistency trend

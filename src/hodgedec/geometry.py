@@ -30,6 +30,7 @@ __all__ = [
     "triangle_area",
     "mesh_area",
     "ball_mesh",
+    "ball_ring_sizes",
     "mesh_edge_lengths",
     "cutoff_profile",
     "cutoff_cochain",
@@ -261,6 +262,27 @@ def _ring_sizes(a: float, rho_max: float, h: float) -> list[int]:
     return sizes
 
 
+def ball_ring_sizes(a: float, rho_max: float, h: float) -> list[int]:
+    """The ring sizes of `ball_mesh(a, rho_max, h)`, after every check it makes
+    on its parameters and on the vertex cap; nothing is allocated."""
+    if not all(math.isfinite(x) for x in (a, rho_max, h)):
+        raise ConfigError("curvature, radius and edge length must be finite")
+    if a < 0:
+        raise DomainError("curvature parameter a must be >= 0")
+    if rho_max <= 0:
+        raise ConfigError("rho_max must be positive")
+    if not 0 < h <= rho_max:
+        raise ConfigError("edge length h must satisfy 0 < h <= rho_max")
+    # model coordinates are about a h in size and the audit's cross products
+    # about (a h)^2, which must not underflow
+    if a > 0 and (a * h) * (a * h) < sys.float_info.min:
+        raise ConfigError("curvature times edge length underflows; use curvature 0")
+    diameter = 2.0 * (rho_max + h)  # bounds every length the law of cosines squares
+    if not math.isfinite(diameter * diameter):
+        raise ConfigError("radius too large: squared edge lengths would overflow")
+    return _ring_sizes(a, rho_max, h)
+
+
 def _place_rings(a: float, h: float, sizes: list[int]) -> np.ndarray:
     """The center, then ring i at geodesic radius i*h, uniform in angle."""
     points = [np.zeros((1, 2))]
@@ -397,22 +419,7 @@ def ball_mesh(a: float, rho_max: float, h: float) -> TriMesh:
     [h/2, 2h] or the mesh is rejected, and a ball of more than MAX_VERTICES
     vertices is rejected before anything is allocated.
     """
-    if not all(math.isfinite(x) for x in (a, rho_max, h)):
-        raise ConfigError("curvature, radius and edge length must be finite")
-    if a < 0:
-        raise DomainError("curvature parameter a must be >= 0")
-    if rho_max <= 0:
-        raise ConfigError("rho_max must be positive")
-    if not 0 < h <= rho_max:
-        raise ConfigError("edge length h must satisfy 0 < h <= rho_max")
-    # model coordinates are about a h in size and the audit's cross products
-    # about (a h)^2, which must not underflow
-    if a > 0 and (a * h) * (a * h) < sys.float_info.min:
-        raise ConfigError("curvature times edge length underflows; use curvature 0")
-    diameter = 2.0 * (rho_max + h)  # bounds every length the law of cosines squares
-    if not math.isfinite(diameter * diameter):
-        raise ConfigError("radius too large: squared edge lengths would overflow")
-    sizes = _ring_sizes(a, rho_max, h)
+    sizes = ball_ring_sizes(a, rho_max, h)
     vertices = _place_rings(a, h, sizes)
 
     starts = np.cumsum([1] + sizes)

@@ -1,16 +1,14 @@
 """JSON interchange formats: meshes, cochains, decomposition and stream reports.
 
 Cochain and report files carry the sha256 checksum of the mesh they were
-computed against; a mismatch on load is an error. All files are written with
-sorted keys so identical runs produce byte-identical output.
+computed against; a mismatch on load is an error. All files are written on
+one line with sorted keys, so identical runs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -61,55 +59,25 @@ def legacy_mesh_checksum(mesh: TriMesh) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _dumps(value) -> str:
-    return json.dumps(value, sort_keys=True, indent=2, allow_nan=False)
-
-
-def _plain_numbers(values) -> bool:
-    """True when every entry is an int, or every entry a finite float (exact types)."""
-    types = set(map(type, values))
-    return types == {int} or (types == {float} and all(map(math.isfinite, values)))
-
-
-def _render(value) -> str:
-    """`value` as it appears one level deep in `_dumps` of a dict.
-
-    json.dumps runs its pure-Python encoder whenever `indent` is set, so a
-    flat list of plain numbers, or equal-length rows of them, is formatted
-    here with the reprs that encoder uses. Anything else, including a
-    non-finite float, goes to `_dumps`, re-indented by the two spaces of its
-    depth (JSON strings hold no raw newline).
-    """
-    if type(value) is list and value:
-        if _plain_numbers(value):
-            return "[\n    " + ",\n    ".join(map(repr, value)) + "\n  ]"
-        width = len(value[0]) if type(value[0]) is list else 0
-        if width and all(type(row) is list and len(row) == width for row in value):
-            flat = tuple(chain.from_iterable(value))
-            if _plain_numbers(flat):
-                row = "[\n      " + ",\n      ".join(["%r"] * width) + "\n    ]"
-                return "[\n    " + ",\n    ".join([row] * len(value)) % flat + "\n  ]"
-    return _dumps(value).replace("\n", "\n  ")
-
-
 def save_json(obj: dict, path) -> None:
     """Write obj as JSON; a value the encoder refuses (a NaN or infinite number,
     an int too long to print, a container that holds itself) is an error and
     nothing is written.
 
-    The bytes are those of json.dumps(obj, sort_keys=True, indent=2,
-    allow_nan=False) followed by a newline. The value of each key is written
-    as its own piece, never joined into one text, which keeps the peak memory
-    of a large report down.
+    The bytes are those of json.dumps(obj, sort_keys=True, allow_nan=False)
+    followed by a newline: one line, from json's C encoder. The value of each
+    key is written as its own piece, never joined into one text, which keeps
+    the peak memory of a large report down.
     """
+    encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
     try:
         if type(obj) is dict and obj and all(type(key) is str for key in obj):
-            pieces = ["{\n  "]
+            pieces = ["{"]
             for key in sorted(obj):
-                pieces += [json.dumps(key), ": ", _render(obj[key]), ",\n  "]
-            pieces[-1] = "\n}\n"
+                pieces += [encode(key), ": ", encode(obj[key]), ", "]
+            pieces[-1] = "}\n"
         else:
-            pieces = [_dumps(obj), "\n"]
+            pieces = [encode(obj), "\n"]
     except ValueError as err:
         reason = str(err)
         if reason.startswith("Out of range float values"):  # the encoder's allow_nan message
@@ -177,7 +145,7 @@ def save_cochain(c: Cochain, mesh: TriMesh, path) -> None:
     save_json(
         {
             "degree": c.degree,
-            "values": [float(x) for x in c.values],
+            "values": c.values.tolist(),
             "mesh_checksum": mesh_checksum(mesh),
         },
         path,

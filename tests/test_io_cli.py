@@ -21,8 +21,8 @@ from hodgedec.simplicial import Cochain
 
 from conftest import make_lattice_mesh, make_triangle_beside_torus, unreachable_placement
 
-# sha256 of `verify-tensor --max-dim 5 --trials 2 --seed 7 --deterministic`: the
-# suite is exact, so its report has the same bytes everywhere
+# sha256 of the report of `verify-tensor --max-dim 5 --trials 2 --seed 7 --deterministic`,
+# re-dumped with indent 2: the suite is exact, so its report is the same everywhere
 VERIFY_TENSOR_SHA256 = "de1adc7f0a8e83c78129c82d7f85768e7c08cbc04adab2b2b3e2c351885b5e81"
 
 
@@ -176,7 +176,8 @@ class TestCli:
         out = tmp_path / "verify.json"
         assert main(["verify-tensor", "--max-dim", "5", "--trials", "2", "--seed", "7",
                      "--deterministic", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == VERIFY_TENSOR_SHA256
+        text = json.dumps(json.loads(out.read_text()), sort_keys=True, indent=2, allow_nan=False)
+        assert hashlib.sha256((text + "\n").encode()).hexdigest() == VERIFY_TENSOR_SHA256
 
     @pytest.mark.parametrize("space", ["l2", "h1"])
     def test_decompose_orthogonality_is_the_two_pairings_with_gamma(
@@ -263,7 +264,23 @@ class TestCli:
             assert main(argv + ["--out", str(paths[-1])]) == 0
         for path in paths:
             text = path.read_text()
-            assert json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n" == text
+            assert json.dumps(json.loads(text), sort_keys=True, allow_nan=False) + "\n" == text
+
+    def test_indent_2_files_give_the_same_report(self, small_mesh, tmp_path):
+        # files written before save_json dropped the indentation keep loading
+        mesh, cx, stars, _ = small_mesh
+        mesh_path, form_path, out = tmp_path / "m.json", tmp_path / "form.json", tmp_path / "out.json"
+        io.save_mesh(mesh, mesh_path)
+        io.save_cochain(hd.builtin_form("mixed", mesh, cx, stars, seed=3), mesh, form_path)
+        argv = ["decompose", "--mesh", str(mesh_path), "--form", str(form_path),
+                "--deterministic", "--out", str(out)]
+        assert main(argv) == 0
+        compact = out.read_bytes()
+        for path in (mesh_path, form_path):
+            path.write_text(json.dumps(json.loads(path.read_text()), sort_keys=True, indent=2) + "\n")
+            assert path.read_text().startswith("{\n  ")
+        assert main(argv) == 0
+        assert out.read_bytes() == compact
 
     def test_decompose_reports_solver_statistics_per_block(self, tmp_path, discretize):
         disc = discretize(1.0, 3.0, 0.1)  # both blocks above dec.COARSE_SIZE
@@ -392,6 +409,33 @@ class TestRunParameters:
         assert main(["convergence", "--curvature", "1", "--radius", "1.5", "--edge", "0.3",
                      "--levels", "1", "--form", str(form), "--out", str(out)]) == 1
         assert "zero L2 norm" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_convergence_rejects_a_cochain_file_for_several_levels(self, tmp_path, monkeypatch, capsys):
+        mesh = hd.ball_mesh(1.0, 1.5, 0.3)
+        form = tmp_path / "form.json"
+        io.save_cochain(Cochain(1, np.ones(hd.build_complex(mesh).num_edges)), mesh, form)
+        monkeypatch.setattr(geometry, "_place_rings", unreachable_placement)
+        out = tmp_path / "c.csv"
+        assert main(["convergence", "--curvature", "1", "--radius", "1.5", "--edge", "0.3",
+                     "--levels", "2", "--form", str(form), "--out", str(out)]) == 1
+        assert "cochain file" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["--curvature", "1", "--radius", "3", "--edge", "0.2", "--levels", "6"], "more than"),
+        (["--curvature", "1e-153", "--radius", "1", "--edge", "0.2", "--levels", "2"], "underflows"),
+        (["--curvature", "1", "--radius", "1", "--edge", "0.2", "--levels", "5000"], "0 < h"),
+    ], ids=["vertex-cap", "underflow", "edge-underflows-to-zero"])
+    def test_convergence_checks_the_finest_level_before_meshing(
+        self, tmp_path, monkeypatch, capsys, argv, reason
+    ):
+        # level 0 alone would pass every check; the finest level does not
+        geometry.ball_ring_sizes(float(argv[1]), float(argv[3]), float(argv[5]))
+        monkeypatch.setattr(geometry, "_place_rings", unreachable_placement)
+        out = tmp_path / "c.csv"
+        assert main(["convergence", *argv, "--out", str(out)]) == 1
+        assert reason in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("radii", ["", ","])
@@ -629,7 +673,7 @@ class TestSaveJson:
     def test_bytes_are_those_of_json_dumps(self, tmp_path_factory, doc):
         path = tmp_path_factory.mktemp("json") / "doc.json"
         io.save_json(doc, path)
-        expected = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        expected = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
         assert path.read_bytes() == expected.encode()
 
     @settings(derandomize=True, max_examples=200, deadline=None)
