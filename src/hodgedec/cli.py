@@ -186,12 +186,13 @@ def _cmd_stream(args) -> int:
 def _cmd_verify_tensor(args) -> int:
     t0 = time.time()
     report = weitzenbock.run_verification(args.max_dim, args.trials, args.seed)
-    _finish(report.to_dict(), args, t0, args.out)
-    for r in report.results:
-        status = "pass" if r.passed else "FAIL"
-        print(f"N={r.n_dim} k={r.degree}: {r.trials} trials {status} (star sign {r.star_sign:+d})")
-    print("note:", report.note)
-    if not report.all_passed:
+    _finish(report, args, t0, args.out)
+    for r in report["results"]:
+        status = "pass" if r["passed"] else "FAIL"
+        print(f"N={r['N']} k={r['k']}: {r['trials']} trials {status} "
+              f"(star sign {r['star_sign']:+d})")
+    print("note:", report["note"])
+    if not report["all_passed"]:
         print("verification FAILED", file=sys.stderr)
         return 1
     return 0

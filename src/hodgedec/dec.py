@@ -5,9 +5,9 @@ Star weights come from the intrinsic (secant) treatment of curved triangles:
 each face is replaced by the Euclidean triangle with the same geodesic edge
 lengths, then the usual cotangent / mixed-Voronoi constructions apply. The
 codifferential is defined through exact discrete adjointness with the diagonal
-L2 pairing, (d u, v) = (u, delta v); on a surface the classical coordinate
-formula would read d* = (-1)^(N k + N + 1) star d star, see
-`continuum_codifferential_sign`.
+L2 pairing, (d u, v) = (u, delta v); the classical coordinate formula on
+k-forms of an N-manifold reads d* = (-1)^(N k + N + 1) star d star, which is
+-star d star on surface 1-forms.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ __all__ = [
     "codifferential",
     "curvature_constant",
     "inner",
+    "interior_inner",
     "norm",
     "solve_spd",
-    "continuum_codifferential_sign",
 ]
 
 SURFACE_DIM = 2
@@ -50,11 +50,6 @@ MAX_COARSE_RATIO = 2 / 3
 def curvature_constant(a: float, k: int) -> float:
     """c = a^2 k (N - k), the curvature term of the H1 pairing on k-forms, N = 2."""
     return a**2 * k * (SURFACE_DIM - k)
-
-
-def continuum_codifferential_sign(n_dim: int, degree: int) -> int:
-    """Sign of the coordinate formula d* = sign * (star d star) on k-forms."""
-    return (-1) ** (n_dim * degree + n_dim + 1)
 
 
 @dataclass(frozen=True)
@@ -157,15 +152,15 @@ def _l2(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     return float(np.dot(u, w * v))
 
 
-def interior_mask(cx: SimplicialComplex, degree: int) -> np.ndarray:
-    """Simplices not touching any boundary vertex (discrete compact support)."""
-    if degree == 0:
-        return cx.interior_vertices
-    if degree == 1:
-        return cx.interior_edges
-    if degree == 2:
-        return cx.interior_faces
-    raise DegreeError(f"no simplices of degree {degree}")
+def interior_inner(u: Cochain, v: Cochain, cx: SimplicialComplex, stars: StarWeights) -> float:
+    """(u, v) weighted by star_k and summed over the interior simplices of degree k.
+
+    Interior simplices touch no boundary vertex, so this pairing tests against
+    compact supports (discrete weak derivatives).
+    """
+    k = u.degree
+    interior = (cx.interior_vertices, cx.interior_edges, cx.interior_faces)[k]
+    return _l2(u.values, v.values, stars.star(k) * interior)
 
 
 def inner(
@@ -196,11 +191,11 @@ def inner(
         return base
     total = (1.0 + curvature_constant(stars.curvature, k)) * base
     if k < 2:
-        du, dv = apply_d(u, cx), apply_d(v, cx)
-        total += _l2(du.values, dv.values, stars.star(k + 1) * interior_mask(cx, k + 1))
+        total += interior_inner(apply_d(u, cx), apply_d(v, cx), cx, stars)
     if k > 0:
-        su, sv = codifferential(u, cx, stars), codifferential(v, cx, stars)
-        total += _l2(su.values, sv.values, stars.star(k - 1) * interior_mask(cx, k - 1))
+        total += interior_inner(
+            codifferential(u, cx, stars), codifferential(v, cx, stars), cx, stars
+        )
     return total
 
 
@@ -391,7 +386,9 @@ def solve_spd(
 
     diag = A.diagonal()
     if np.any(diag <= 0.0):
-        raise ValueError("matrix has a non-positive diagonal entry; not SPD")
+        raise ConvergenceError(
+            "matrix has a non-positive diagonal entry; not SPD", residual=1.0, iterations=0
+        )
     target = max(tol * norm_b, residual_floor)
     if norm_b <= target:  # x = 0 already meets the floor: nothing to build
         return SolveResult(np.zeros(n), 0, 1.0, 0)
@@ -399,13 +396,8 @@ def solve_spd(
 
     x = np.zeros(n)
     r = b.copy()
-    z = precondition(r)
-    p = z.copy()
-    rz = float(np.dot(r, z))
     res = norm_b
     it = 0
-    if _not_positive(rz):
-        raise _breakdown("r.z", res, norm_b, it)
     while res > target:
         if it >= MAX_CG_ITERATIONS:
             raise ConvergenceError(
@@ -414,6 +406,12 @@ def solve_spd(
                 residual=res / norm_b,
                 iterations=it,
             )
+        z = precondition(r)
+        rz_new = float(np.dot(r, z))
+        if _not_positive(rz_new):
+            raise _breakdown("r.z", res, norm_b, it)
+        p = z if it == 0 else z + (rz_new / rz) * p
+        rz = rz_new
         Ap = A @ p
         pAp = float(np.dot(p, Ap))
         if _not_positive(pAp):
@@ -426,14 +424,6 @@ def solve_spd(
         else:
             r -= alpha * Ap
         res = float(np.linalg.norm(r))
-        if res <= target:
-            break
-        z = precondition(r)
-        rz_new = float(np.dot(r, z))
-        if _not_positive(rz_new):
-            raise _breakdown("r.z", res, norm_b, it)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
     true_res = float(np.linalg.norm(b - A @ x))
     if true_res > 10 * target:
         raise ConvergenceError(

@@ -135,12 +135,6 @@ def _check_edge_values(c: Cochain, cx: SimplicialComplex, what: str):
         raise ConfigError(f"{what} needs finite cochain values")
 
 
-def _interior_l2_norm(c: Cochain, cx: SimplicialComplex, stars: StarWeights) -> float:
-    """L2 norm over interior simplices (the weak-derivative test region)."""
-    w = stars.star(c.degree) * dec.interior_mask(cx, c.degree)
-    return float(np.sqrt(np.dot(c.values, w * c.values)))
-
-
 def _optimality_terms(x: np.ndarray, P, Q, star1: np.ndarray) -> np.ndarray:
     """Norms of P^T star1 x and Q^T star1 x.
 
@@ -240,8 +234,10 @@ def harmonic_diagnostics(gamma: Cochain, disc: Discretization) -> HarmonicReport
     norm_sq = dec.inner(gamma, gamma, "l2", cx, stars)
     if norm_sq == 0.0:
         return HarmonicReport(True, 0.0, c, 0.0, None, 0.0, 0.0)
-    d_sq = _interior_l2_norm(apply_d(gamma, cx), cx, stars) ** 2
-    s_sq = _interior_l2_norm(dec.codifferential(gamma, cx, stars), cx, stars) ** 2
+    d_gamma = apply_d(gamma, cx)
+    d_sq = dec.interior_inner(d_gamma, d_gamma, cx, stars)
+    s_gamma = dec.codifferential(gamma, cx, stars)
+    s_sq = dec.interior_inner(s_gamma, s_gamma, cx, stars)
     energy = d_sq + s_sq + c * norm_sq
     ratio = energy / (2.0 * c * norm_sq) if c > 0 else None
     return HarmonicReport(

@@ -74,7 +74,7 @@ class SimplicialComplex:
 
 def build_complex(mesh: TriMesh) -> SimplicialComplex:
     """Enumerate oriented edges, build d0/d1, classify the boundary."""
-    faces = np.asarray(mesh.triangles, dtype=np.int64)
+    faces = mesh.triangles  # frozen int64 (F, 3), stored as it is
     num_v = int(mesh.num_vertices)
     if np.any(
         (faces[:, 0] == faces[:, 1])
@@ -125,12 +125,10 @@ def build_complex(mesh: TriMesh) -> SimplicialComplex:
 
     edges.setflags(write=False)
     face_edges.setflags(write=False)
-    faces_ro = faces.copy()
-    faces_ro.setflags(write=False)
     return SimplicialComplex(
         num_vertices=num_v,
         edges=edges,
-        faces=faces_ro,
+        faces=faces,
         face_edges=face_edges,
         d0=d0,
         d1=d1,

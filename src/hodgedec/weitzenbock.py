@@ -43,7 +43,6 @@ __all__ = [
     "is_antisymmetric",
     "verify_identities",
     "run_verification",
-    "VerificationReport",
     "SIGN_CONVENTION_NOTE",
 ]
 
@@ -315,46 +314,6 @@ def star_involution_sign(n_dim: int, degree: int) -> int:
     return sign
 
 
-@dataclass
-class PairResult:
-    n_dim: int
-    degree: int
-    trials: int
-    passed: bool
-    star_sign: int
-    failure: Optional[dict] = None
-
-
-@dataclass
-class VerificationReport:
-    max_dim: int
-    trials: int
-    seed: int
-    results: list[PairResult]
-    all_passed: bool
-    note: str = SIGN_CONVENTION_NOTE
-
-    def to_dict(self) -> dict:
-        return {
-            "max_dim": self.max_dim,
-            "trials": self.trials,
-            "seed": self.seed,
-            "all_passed": self.all_passed,
-            "note": self.note,
-            "results": [
-                {
-                    "N": r.n_dim,
-                    "k": r.degree,
-                    "trials": r.trials,
-                    "passed": r.passed,
-                    "star_sign": r.star_sign,
-                    **({"failure": r.failure} if r.failure else {}),
-                }
-                for r in self.results
-            ],
-        }
-
-
 def _serialize_context(ctx: RationalTensorContext) -> dict:
     return {
         "N": ctx.n_dim,
@@ -399,11 +358,13 @@ def verify_identities(ctx: RationalTensorContext) -> Optional[str]:
     return None
 
 
-def run_verification(max_dim: int = 5, trials: int = 50, seed: int = 0) -> VerificationReport:
+def run_verification(max_dim: int = 5, trials: int = 50, seed: int = 0) -> dict:
     """Seeded exact suite over every (N, k), 2 <= N <= max_dim, 0 <= k <= N.
 
     max_dim must lie in [2, 6], the dimensions a context accepts, and trials
-    must be at least 1, so that a run checks something.
+    must be at least 1, so that a run checks something. Returns the report as
+    plain data: one entry per (N, k) in "results", with the failing trial's
+    reason and context under "failure" when a pair fails.
     """
     if not 2 <= max_dim <= 6:
         raise ConfigError(f"max_dim must lie between 2 and 6, got {max_dim}")
@@ -412,29 +373,23 @@ def run_verification(max_dim: int = 5, trials: int = 50, seed: int = 0) -> Verif
     results = []
     for n in range(2, max_dim + 1):
         for k in range(0, n + 1):
-            star = star_involution_sign(n, k)
-            failure = None
+            result = {"N": n, "k": k, "trials": trials, "passed": True,
+                      "star_sign": star_involution_sign(n, k)}
             for t in range(trials):
                 rng = random.Random(seed * 1_000_003 + n * 10_007 + k * 101 + t)
                 ctx = random_context(n, k, rng)
                 reason = verify_identities(ctx)
                 if reason is not None:
-                    failure = {"trial": t, "reason": reason, "context": _serialize_context(ctx)}
+                    result["passed"] = False
+                    result["failure"] = {"trial": t, "reason": reason,
+                                         "context": _serialize_context(ctx)}
                     break
-            results.append(
-                PairResult(
-                    n_dim=n,
-                    degree=k,
-                    trials=trials,
-                    passed=failure is None,
-                    star_sign=star,
-                    failure=failure,
-                )
-            )
-    return VerificationReport(
-        max_dim=max_dim,
-        trials=trials,
-        seed=seed,
-        results=results,
-        all_passed=all(r.passed for r in results),
-    )
+            results.append(result)
+    return {
+        "max_dim": max_dim,
+        "trials": trials,
+        "seed": seed,
+        "all_passed": all(r["passed"] for r in results),
+        "note": SIGN_CONVENTION_NOTE,
+        "results": results,
+    }

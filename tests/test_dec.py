@@ -62,12 +62,6 @@ class TestCodifferential:
         with pytest.raises(DegreeError):
             hd.codifferential(Cochain(0, np.zeros(cx.num_vertices)), cx, stars)
 
-    def test_continuum_sign_surface_one_forms(self):
-        # (-1)^(N k + N + 1) at N=2, k=1: the coordinate formula d* = -star d star
-        assert dec.continuum_codifferential_sign(2, 1) == -1
-        assert dec.continuum_codifferential_sign(3, 1) == -1
-        assert dec.continuum_codifferential_sign(2, 2) == -1
-
     @pytest.mark.parametrize("a", [0.0, 1.0])
     def test_adjointness(self, discretize, rng, a):
         disc = discretize(a, 1.0, 0.1)
@@ -242,17 +236,16 @@ class TestSampledHarmonicForm:
         assert np.abs(ddx.values).max() < 1e-14
 
     def test_interior_divergence_shrinks_linearly(self, discretize):
-        from hodgedec.hodge import _interior_l2_norm
-
         norms = {}
         for h in (0.2, 0.1):
             disc = discretize(1.0, 2.0, h)
             mesh, cx, stars = disc.mesh, disc.cx, disc.stars
             dx = coordinate_form(mesh, cx)
             l2 = "l2"
-            norms[h] = _interior_l2_norm(
-                hd.codifferential(dx, cx, stars), cx, stars
-            ) / dec.norm(dx, l2, cx, stars)
+            div = hd.codifferential(dx, cx, stars)
+            norms[h] = math.sqrt(dec.interior_inner(div, div, cx, stars)) / dec.norm(
+                dx, l2, cx, stars
+            )
         # O(h) or better
         assert norms[0.1] <= 0.75 * norms[0.2]
 
@@ -320,6 +313,12 @@ class TestSolver:
             dec.solve_spd(sp.csr_matrix(np.array(A)), np.array([1.0, -1.0]))
         assert err.value.iterations == 0
         assert err.value.residual == 1.0
+
+    def test_non_positive_diagonal_is_convergence_error(self):
+        # like every other not-SPD detection: exit 2 through the CLI, not 1
+        with pytest.raises(ConvergenceError, match="non-positive diagonal") as err:
+            dec.solve_spd(sp.csr_matrix([[-1.0]]), np.array([1.0]))
+        assert (err.value.iterations, err.value.residual) == (0, 1.0)
 
     def test_rhs_within_floor_builds_nothing(self, rng, monkeypatch):
         def unreachable(A, diag):

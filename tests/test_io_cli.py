@@ -172,6 +172,33 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "N=4 k=2" in printed
 
+    def test_verify_tensor_reports_a_failing_pair(self, tmp_path, capsys, monkeypatch):
+        passing = weitzenbock.verify_identities
+
+        def fail_n3_k1(ctx):
+            if (ctx.n_dim, ctx.degree) == (3, 1):
+                fail_n3_k1.trials += 1
+                if fail_n3_k1.trials == 2:
+                    return "weitzenbock sums"
+            return passing(ctx)
+
+        fail_n3_k1.trials = 0
+        monkeypatch.setattr(weitzenbock, "verify_identities", fail_n3_k1)
+        out = tmp_path / "verify.json"
+        assert main(["verify-tensor", "--max-dim", "3", "--trials", "3",
+                     "--deterministic", "--out", str(out)]) == 1
+        payload = json.loads(out.read_text())
+        assert payload["all_passed"] is False
+        failed = [r for r in payload["results"] if not r["passed"]]
+        assert [(r["N"], r["k"]) for r in failed] == [(3, 1)]
+        failure = failed[0]["failure"]
+        assert (failure["trial"], failure["reason"]) == (1, "weitzenbock sums")
+        assert (failure["context"]["N"], failure["context"]["k"]) == (3, 1)
+        assert all("failure" not in r for r in payload["results"] if r["passed"])
+        captured = capsys.readouterr()
+        assert "N=3 k=1: 3 trials FAIL (star sign +1)" in captured.out
+        assert "verification FAILED" in captured.err
+
     def test_verify_tensor_report_is_pinned(self, tmp_path):
         out = tmp_path / "verify.json"
         assert main(["verify-tensor", "--max-dim", "5", "--trials", "2", "--seed", "7",
@@ -768,3 +795,25 @@ def test_cli_import_leaves_scipy_graph_and_solver_modules_unloaded():
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env={"PYTHONPATH": src}, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_commands_without_stream_leave_scipy_graph_and_solver_modules_unloaded(tmp_path):
+    # about 9 MB of resident memory each; only `stream` needs them
+    src = str(Path(hd.__file__).resolve().parent.parent)
+    probe = """
+import sys
+from hodgedec.cli import main
+out = sys.argv[1]
+for argv in (
+    ["mesh", "--curvature", "1", "--radius", "3", "--edge", "0.3", "--out", out + "/ball.json"],
+    ["truncate", "--radii", "1.2,1.5", "--mesh", out + "/ball.json", "--out", out + "/t.json"],
+    ["verify-tensor", "--max-dim", "3", "--trials", "1", "--out", out + "/v.json"],
+    ["decompose", "--mesh", out + "/ball.json", "--form", "builtin:mixed", "--out", out + "/d.json"],
+):
+    assert main(argv) == 0, argv
+print([m for m in ("scipy.sparse.csgraph", "scipy.sparse.linalg") if m in sys.modules])
+"""
+    done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], capture_output=True,
+                          text=True, env={"PYTHONPATH": src}, timeout=120, check=True)
+    assert done.stdout.strip().splitlines()[-1] == "[]"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ball.json", "d.json", "t.json", "v.json"]

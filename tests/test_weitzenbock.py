@@ -379,19 +379,18 @@ class TestContextValidation:
 
 def test_reduced_fuzz_contract():
     report = wb.run_verification(max_dim=3, trials=8, seed=123)
-    assert report.all_passed
-    assert len(report.results) == 2 + 1 + 4  # (N=2: k=0..2) + (N=3: k=0..3)
+    assert report["all_passed"]
+    assert len(report["results"]) == 2 + 1 + 4  # (N=2: k=0..2) + (N=3: k=0..3)
 
 
 def test_six_dimensional_suite():
     report = wb.run_verification(max_dim=6, trials=1, seed=66)
-    assert report.all_passed
-    assert len(report.results) == sum(n + 1 for n in range(2, 7))
+    assert report["all_passed"]
+    assert len(report["results"]) == sum(n + 1 for n in range(2, 7))
 
 
 def test_verification_report_serializes():
-    report = wb.run_verification(max_dim=2, trials=2, seed=0)
-    payload = report.to_dict()
+    payload = wb.run_verification(max_dim=2, trials=2, seed=0)
     assert payload["all_passed"] is True
     assert {r["N"] for r in payload["results"]} == {2}
     assert "note" in payload
