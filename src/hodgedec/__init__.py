@@ -37,7 +37,6 @@ from .geometry import (
 )
 from .hodge import (
     Discretization,
-    HarmonicReport,
     HodgeSplit,
     StreamResult,
     decompose,

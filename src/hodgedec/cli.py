@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import forms, hodge, io, weitzenbock
+from . import dec, forms, hodge, io, weitzenbock
 from .errors import ConfigError, ConvergenceError
 from .geometry import ball_mesh, ball_ring_sizes, check_cutoff_scales
 from .hodge import Discretization
@@ -124,8 +124,6 @@ def _cmd_decompose(args) -> int:
     disc = Discretization(io.load_mesh(args.mesh))
     alpha = _load_form(args.form, disc, args.seed)
     split = hodge.decompose(alpha, args.space, disc, tol=args.tol)
-    d = split.diagnostics
-    harm = hodge.harmonic_diagnostics(split.gamma, disc)
     report = _base_report(args, disc)
     report.update(
         {
@@ -134,32 +132,16 @@ def _cmd_decompose(args) -> int:
             "beta": split.beta.values.tolist(),
             "omega": split.omega.values.tolist(),
             "gamma": split.gamma.values.tolist(),
-            "diagnostics": {
-                "norm_alpha": d.norm_alpha,
-                "norm_exact": d.norm_exact,
-                "norm_coexact": d.norm_coexact,
-                "norm_gamma": d.norm_gamma,
-                "reconstruction_residual": d.reconstruction_residual,
-                "orthogonality": {
-                    "exact_harmonic": d.ortho_exact_harmonic,
-                    "coexact_harmonic": d.ortho_coexact_harmonic,
-                    "defect": d.orthogonality_defect(),
-                },
-                "pythagoras_defect": d.pythagoras_defect,
-            },
-            "harmonic": {
-                "energy": harm.energy,
-                "bound_ratio": harm.bound_ratio,
-                "d_residual": harm.d_residual,
-                "delta_residual": harm.delta_residual,
-            },
-            "solver": d.solver,
+            "diagnostics": split.diagnostics,
+            "harmonic": hodge.harmonic_diagnostics(split.gamma, disc),
+            "solver": split.solver,
         }
     )
     _finish(report, args, t0, args.out)
+    d = split.diagnostics
     print(
-        f"decompose[{args.space}]: |exact|={d.norm_exact:.6g} |coexact|={d.norm_coexact:.6g} "
-        f"|harmonic|={d.norm_gamma:.6g} recon={d.reconstruction_residual:.2e}"
+        f"decompose[{args.space}]: |exact|={d['norm_exact']:.6g} |coexact|={d['norm_coexact']:.6g} "
+        f"|harmonic|={d['norm_gamma']:.6g} recon={d['reconstruction_residual']:.2e}"
     )
     return 0
 
@@ -219,16 +201,16 @@ def _cmd_convergence(args) -> int:
         alpha = _load_form(args.form, disc, args.seed)
         # closedness of the level's input form: the sampling-consistency trend
         inp = hodge.harmonic_diagnostics(alpha, disc)
-        if inp.degenerate:
+        if dec.norm(alpha, "l2", disc.cx, disc.stars) == 0.0:
             raise ConfigError(f"convergence: the input form has zero L2 norm at level {level}")
-        in_d, in_delta = inp.d_residual, inp.delta_residual
+        in_d, in_delta = inp["d_residual"], inp["delta_residual"]
         split = hodge.decompose(alpha, args.space, disc, tol=args.tol)
-        rep = hodge.harmonic_diagnostics(split.gamma, disc)  # residuals 0.0 when degenerate
+        rep = hodge.harmonic_diagnostics(split.gamma, disc)  # residuals 0.0 for a zero gamma
         d = split.diagnostics
-        deficit = 1.0 - d.norm_gamma**2 / d.norm_alpha**2
-        ratio = rep.bound_ratio if rep.bound_ratio is not None else float("nan")
-        row = (level, h, in_d, in_delta, rep.d_residual, rep.delta_residual, ratio,
-               d.orthogonality_defect(), deficit)
+        deficit = 1.0 - d["norm_gamma"] ** 2 / d["norm_alpha"] ** 2
+        ratio = rep["bound_ratio"] if rep["bound_ratio"] is not None else float("nan")
+        row = (level, h, in_d, in_delta, rep["d_residual"], rep["delta_residual"], ratio,
+               d["orthogonality"]["defect"], deficit)
         lines.append(",".join(map(repr, row)))
         print(
             f"level {level}: h={h:.4g} input residuals d={in_d:.3e} delta={in_delta:.3e} "

@@ -69,15 +69,6 @@ class StarWeights:
     edge_lengths: np.ndarray
     clamp_count: int
 
-    def star(self, degree: int) -> np.ndarray:
-        if degree == 0:
-            return self.star0
-        if degree == 1:
-            return self.star1
-        if degree == 2:
-            return self.star2
-        raise DegreeError(f"no star weights for degree {degree}")
-
 
 @dataclass
 class SolveResult:
@@ -160,7 +151,7 @@ def interior_inner(u: Cochain, v: Cochain, cx: SimplicialComplex, stars: StarWei
     """
     k = u.degree
     interior = (cx.interior_vertices, cx.interior_edges, cx.interior_faces)[k]
-    return _l2(u.values, v.values, stars.star(k) * interior)
+    return _l2(u.values, v.values, (stars.star0, stars.star1, stars.star2)[k] * interior)
 
 
 def inner(
@@ -186,16 +177,17 @@ def inner(
     if u.degree != v.degree:
         raise DegreeError(f"degree mismatch: u={u.degree}, v={v.degree}")
     k = u.degree
-    base = _l2(u.values, v.values, stars.star(k))
+    base = _l2(u.values, v.values, (stars.star0, stars.star1, stars.star2)[k])
     if space == "l2":
         return base
     total = (1.0 + curvature_constant(stars.curvature, k)) * base
+    # a norm pairs u with itself: each derivative is taken once
     if k < 2:
-        total += interior_inner(apply_d(u, cx), apply_d(v, cx), cx, stars)
+        du = apply_d(u, cx)
+        total += interior_inner(du, du if v is u else apply_d(v, cx), cx, stars)
     if k > 0:
-        total += interior_inner(
-            codifferential(u, cx, stars), codifferential(v, cx, stars), cx, stars
-        )
+        su = codifferential(u, cx, stars)
+        total += interior_inner(su, su if v is u else codifferential(v, cx, stars), cx, stars)
     return total
 
 

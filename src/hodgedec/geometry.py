@@ -124,11 +124,7 @@ def distance(p, q, a: float) -> float:
 
 def radial_distance(points, a: float) -> np.ndarray:
     """Geodesic distance from the origin (the fixed reference point)."""
-    z = _as_complex(points)
-    _check_inside(z, a)
-    if a == 0.0:
-        return np.abs(z)
-    return (2.0 / a) * np.arctanh(np.abs(z))
+    return pairwise_distances(points, (0.0, 0.0), a)
 
 
 def model_radius(rho: float, a: float) -> float:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,8 +26,6 @@ from .simplicial import Cochain, SimplicialComplex, apply_d, build_complex
 __all__ = [
     "Discretization",
     "HodgeSplit",
-    "SplitDiagnostics",
-    "HarmonicReport",
     "StreamResult",
     "decompose",
     "harmonic_diagnostics",
@@ -74,45 +71,15 @@ class Discretization:
 
 
 @dataclass
-class SplitDiagnostics:
-    space: str
-    norm_alpha: float
-    norm_exact: float  # |d beta|
-    norm_coexact: float  # |delta omega|
-    norm_gamma: float
-    reconstruction_residual: float  # L2 optimality of gamma, see _optimality_terms
-    # <d beta, delta omega> is not kept: dd = 0 and delta delta = 0 make it
-    # round-off in either space, whatever the potentials
-    ortho_exact_harmonic: float
-    ortho_coexact_harmonic: float
-    pythagoras_defect: float  # relative to |alpha|^2
-    solver: dict  # per block, "vertex" and "face": size, nnz, levels (0 = Jacobi), iterations, residual
-
-    def orthogonality_defect(self) -> float:
-        """Larger of the two pairings with gamma, relative to |alpha|^2."""
-        scale = max(self.norm_alpha**2, np.finfo(float).tiny)
-        return max(abs(self.ortho_exact_harmonic), abs(self.ortho_coexact_harmonic)) / scale
-
-
-@dataclass
 class HodgeSplit:
-    """alpha = d beta + delta omega + gamma, potentials supported on interior simplices."""
+    """alpha = d beta + delta omega + gamma, potentials supported on interior simplices;
+    `diagnostics` and `solver` are the report blocks that decompose describes."""
 
     beta: Cochain
     omega: Cochain
     gamma: Cochain
-    diagnostics: SplitDiagnostics
-
-
-@dataclass
-class HarmonicReport:
-    degenerate: bool
-    energy: float  # |d gamma|^2 + |delta gamma|^2 + c |gamma|^2
-    curvature_constant: float
-    norm_l2_sq: float
-    bound_ratio: Optional[float]  # energy / (2 c |gamma|^2), None when c = 0
-    d_residual: float  # |d gamma| / |gamma|
-    delta_residual: float
+    diagnostics: dict
+    solver: dict
 
 
 @dataclass
@@ -169,6 +136,14 @@ def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-
     which cancels every H1 cross term, so this is also the H1 split: `space`
     ("l2" or "h1") only selects the inner product of the diagnostics, and
     `tol` is the conjugate-gradient tolerance of both blocks.
+
+    The diagnostics hold the norms of alpha and its three parts, the
+    reconstruction residual (see _optimality_terms), the pairings of d beta and
+    delta omega with gamma and the larger of the two relative to |alpha|^2
+    (<d beta, delta omega> is round-off by dd = 0 and delta delta = 0, so it is
+    not kept), and the Pythagoras defect relative to |alpha|^2. The solver
+    block holds, for "vertex" and "face": size, nnz, levels (0 = Jacobi),
+    iterations and residual.
     """
     cx, stars = disc.cx, disc.stars
     _check_edge_values(alpha, cx, "decompose")
@@ -200,55 +175,61 @@ def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-
     norms_sq = [
         dec.inner(w, w, space, cx, stars) for w in (d_beta, delta_omega, gamma)
     ]
-    diagnostics = SplitDiagnostics(
-        space=space,
-        norm_alpha=norm_alpha,
-        norm_exact=float(np.sqrt(max(norms_sq[0], 0.0))),
-        norm_coexact=float(np.sqrt(max(norms_sq[1], 0.0))),
-        norm_gamma=float(np.sqrt(max(norms_sq[2], 0.0))),
-        reconstruction_residual=float(
+    ortho = [dec.inner(w, gamma, space, cx, stars) for w in (d_beta, delta_omega)]
+    alpha_sq = max(norm_alpha**2, np.finfo(float).tiny)
+    diagnostics = {
+        "norm_alpha": norm_alpha,
+        "norm_exact": float(np.sqrt(max(norms_sq[0], 0.0))),
+        "norm_coexact": float(np.sqrt(max(norms_sq[1], 0.0))),
+        "norm_gamma": float(np.sqrt(max(norms_sq[2], 0.0))),
+        "reconstruction_residual": float(
             np.max(_optimality_terms(gamma.values, P, Q, stars.star1) / scales)
         ),
-        ortho_exact_harmonic=dec.inner(d_beta, gamma, space, cx, stars),
-        ortho_coexact_harmonic=dec.inner(delta_omega, gamma, space, cx, stars),
-        pythagoras_defect=abs(norm_alpha**2 - sum(norms_sq)) / max(norm_alpha**2, np.finfo(float).tiny),
+        "orthogonality": {
+            "exact_harmonic": ortho[0],
+            "coexact_harmonic": ortho[1],
+            "defect": max(abs(ortho[0]), abs(ortho[1])) / alpha_sq,
+        },
+        "pythagoras_defect": abs(norm_alpha**2 - sum(norms_sq)) / alpha_sq,
+    }
+    return HodgeSplit(
+        beta=Cochain(0, beta),
+        omega=Cochain(2, omega),
+        gamma=gamma,
+        diagnostics=diagnostics,
         solver={"vertex": stats_b, "face": stats_w},
     )
-    return HodgeSplit(
-        beta=Cochain(0, beta), omega=Cochain(2, omega), gamma=gamma, diagnostics=diagnostics
-    )
 
 
-def harmonic_diagnostics(gamma: Cochain, disc: Discretization) -> HarmonicReport:
-    """Energy and closedness report for a candidate harmonic 1-cochain.
+def harmonic_diagnostics(gamma: Cochain, disc: Discretization) -> dict:
+    """Energy and closedness of a candidate harmonic 1-cochain: the report's
+    "harmonic" block.
 
     The energy |d gamma|^2 + |delta gamma|^2 + c |gamma|^2 is the discrete
     gradient energy; for an exactly closed and co-closed input it reduces to
-    c |gamma|^2, half of the 2 c |gamma|^2 ceiling. Closedness is tested on
-    interior simplices (against compact supports), consistent with the H1
-    pairing.
+    c |gamma|^2, half of the 2 c |gamma|^2 ceiling. `bound_ratio` is the
+    energy over that ceiling, None when c = 0; `d_residual` and
+    `delta_residual` are |d gamma| / |gamma| and |delta gamma| / |gamma|. A
+    zero cochain gives zeros and no ratio. Closedness is tested on interior
+    simplices (against compact supports), consistent with the H1 pairing.
     """
     cx, stars = disc.cx, disc.stars
     _check_edge_values(gamma, cx, "harmonic diagnostics")
     c = dec.curvature_constant(stars.curvature, 1)
     norm_sq = dec.inner(gamma, gamma, "l2", cx, stars)
     if norm_sq == 0.0:
-        return HarmonicReport(True, 0.0, c, 0.0, None, 0.0, 0.0)
+        return {"energy": 0.0, "bound_ratio": None, "d_residual": 0.0, "delta_residual": 0.0}
     d_gamma = apply_d(gamma, cx)
     d_sq = dec.interior_inner(d_gamma, d_gamma, cx, stars)
     s_gamma = dec.codifferential(gamma, cx, stars)
     s_sq = dec.interior_inner(s_gamma, s_gamma, cx, stars)
     energy = d_sq + s_sq + c * norm_sq
-    ratio = energy / (2.0 * c * norm_sq) if c > 0 else None
-    return HarmonicReport(
-        degenerate=False,
-        energy=energy,
-        curvature_constant=c,
-        norm_l2_sq=norm_sq,
-        bound_ratio=ratio,
-        d_residual=float(np.sqrt(d_sq / norm_sq)),
-        delta_residual=float(np.sqrt(s_sq / norm_sq)),
-    )
+    return {
+        "energy": energy,
+        "bound_ratio": energy / (2.0 * c * norm_sq) if c > 0 else None,
+        "d_residual": float(np.sqrt(d_sq / norm_sq)),
+        "delta_residual": float(np.sqrt(s_sq / norm_sq)),
+    }
 
 
 def _coclosedness_residual(v: Cochain, cx: SimplicialComplex, stars: StarWeights):

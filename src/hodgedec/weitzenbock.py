@@ -165,7 +165,7 @@ def make_context(n_dim, degree, metric, curvature, alpha) -> RationalTensorConte
         if not (isinstance(key, tuple) and len(key) == degree
                 and all(isinstance(i, int) and 0 <= i < n_dim for i in key)):
             raise PreconditionError(f"alpha key {key!r} is not {degree} indices in range({n_dim})")
-    alpha = {key: Fraction(v) for key, v in alpha.items() if Fraction(v) != 0}
+    alpha = {key: f for key, v in alpha.items() if (f := Fraction(v)) != 0}
     if not is_antisymmetric(alpha, n_dim, degree):
         raise PreconditionError("alpha fails the exact antisymmetry scan")
     return RationalTensorContext(

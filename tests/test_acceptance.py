@@ -127,15 +127,15 @@ def test_criterion_5_decomposition_structure(mixed_run):
     _, alpha, split = mixed_run
     d = split.diagnostics
     ok = (
-        d.reconstruction_residual <= 1e-8
-        and d.orthogonality_defect() <= 1e-8
-        and d.pythagoras_defect <= 1e-6
+        d["reconstruction_residual"] <= 1e-8
+        and d["orthogonality"]["defect"] <= 1e-8
+        and d["pythagoras_defect"] <= 1e-6
     )
     report(
         5,
         ok,
-        f"builtin:mixed (a=1, rho=3, h=0.1): recon={d.reconstruction_residual:.1e}, "
-        f"ortho={d.orthogonality_defect():.1e}, pythagoras={d.pythagoras_defect:.1e}",
+        f"builtin:mixed (a=1, rho=3, h=0.1): recon={d['reconstruction_residual']:.1e}, "
+        f"ortho={d['orthogonality']['defect']:.1e}, pythagoras={d['pythagoras_defect']:.1e}",
     )
 
 
@@ -146,7 +146,7 @@ def test_criterion_6_harmonic_regression(dx_levels):
     norm_sq = dec.inner(alpha, alpha, l2, cx, stars)
     norm_ok = abs(norm_sq - DX_NORM_SQ_TARGET) <= 0.02 * DX_NORM_SQ_TARGET
 
-    frac = split.diagnostics.norm_gamma**2 / split.diagnostics.norm_alpha**2
+    frac = split.diagnostics["norm_gamma"] ** 2 / split.diagnostics["norm_alpha"] ** 2
     frac_ok = frac >= 0.90
 
     # refinement trend of the sampled form's closedness, tested against
@@ -177,10 +177,10 @@ def test_criterion_7_energy_bound(dx_levels, mixed_run, discretize):
     # every decomposed gamma at a = 1 from the regression runs
     for h, (d_h, _, split) in dx_levels.items():
         rep = hd.harmonic_diagnostics(split.gamma, d_h)
-        ratios.append((f"dx h={h}", rep.bound_ratio))
+        ratios.append((f"dx h={h}", rep["bound_ratio"]))
     d_mixed, _, split = mixed_run
     rep = hd.harmonic_diagnostics(split.gamma, d_mixed)
-    ratios.append(("mixed h=0.1", rep.bound_ratio))
+    ratios.append(("mixed h=0.1", rep["bound_ratio"]))
     bound_ok = all(r <= (1 + 0.1) / 2 + 1e-9 for _, r in ratios)  # E <= 2c|g|^2 (1+eps)/...
 
     # exactly one-sided inputs: the corresponding energy term drops out exactly
@@ -192,7 +192,7 @@ def test_criterion_7_energy_bound(dx_levels, mixed_run, discretize):
     coclosed = dec.codifferential(omega0, cx, stars)  # exactly co-closed
     rep_c = hd.harmonic_diagnostics(closed, disc)
     rep_cc = hd.harmonic_diagnostics(coclosed, disc)
-    exact_ok = rep_c.d_residual <= 1e-12 and rep_cc.delta_residual <= 1e-12
+    exact_ok = rep_c["d_residual"] <= 1e-12 and rep_cc["delta_residual"] <= 1e-12
 
     # the decomposed gammas are exactly closed and co-closed on the test
     # region, so their energy sits at the half bound c |gamma|^2
@@ -204,7 +204,7 @@ def test_criterion_7_energy_bound(dx_levels, mixed_run, discretize):
         bound_ok and exact_ok and half_ok,
         f"E(gamma) <= 2c|gamma|^2 (1+0.1): max ratio {worst:.6f} (= half bound); "
         f"one-sided exact inputs reduce exactly "
-        f"(d-res {rep_c.d_residual:.1e}, delta-res {rep_cc.delta_residual:.1e})",
+        f"(d-res {rep_c['d_residual']:.1e}, delta-res {rep_cc['delta_residual']:.1e})",
     )
 
 

@@ -141,6 +141,27 @@ class TestInnerProducts:
             with pytest.raises(ConfigError, match="space"):
                 dec.inner(u, u, space, cx, stars)
 
+    def test_h1_norm_takes_each_derivative_once(self, discretize, rng, monkeypatch):
+        disc = discretize(1.0, 1.0, 0.2)
+        cx, stars = disc.cx, disc.stars
+        u = Cochain(1, rng.standard_normal(cx.num_edges))
+        calls = {"apply_d": 0, "codifferential": 0}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(dec, name, counted(name, getattr(dec, name)))
+        norm = dec.norm(u, "h1", cx, stars)
+        assert calls == {"apply_d": 1, "codifferential": 1}
+        # a distinct but equal v takes both derivatives of both arguments, to the same bits
+        assert norm == math.sqrt(dec.inner(u, Cochain(1, u.values.copy()), "h1", cx, stars))
+        assert calls == {"apply_d": 3, "codifferential": 3}
+
     def test_h1_dominates_l2(self, discretize, rng):
         disc = discretize(1.0, 1.0, 0.2)
         cx, stars = disc.cx, disc.stars

@@ -53,6 +53,15 @@ def angle_defect_oracle(pts):
     return math.pi - total
 
 
+def radial_reference(points, a):
+    """The two-branch formula of the distance from the origin, written out."""
+    p = np.asarray(points, dtype=float)
+    if p.ndim == 1:
+        p = p[np.newaxis, :]
+    r = np.abs(p[:, 0] + 1j * p[:, 1])
+    return r if a == 0.0 else (2.0 / a) * np.arctanh(r)
+
+
 class TestDistance:
     def test_coincident(self):
         assert hd.distance((0, 0), (0, 0), 1.0) == 0.0
@@ -74,6 +83,18 @@ class TestDistance:
             hd.distance((0, 0), (1.0, 0.0), 1.0)
         # same point is fine on the plane
         assert hd.distance((0, 0), (1.0, 0.0), 0.0) == 1.0
+
+    @pytest.mark.parametrize("a", [0.0, 1e-3, 0.5, 1.0, 2.5])
+    def test_radial_distance_is_bitwise_the_two_branch_formula(self, rng, a):
+        tiny = [0.0, -0.0, 1e-300, -1e-300]
+        angle = rng.uniform(0.0, 2.0 * np.pi, 2000)
+        radius = 0.999 * np.sqrt(rng.uniform(0.0, 1.0, 2000))
+        points = np.vstack([
+            [(x, y) for x in tiny for y in tiny],
+            np.c_[radius * np.cos(angle), radius * np.sin(angle)],
+        ])
+        for p in (points, points[5]):
+            assert hd.radial_distance(p, a).tobytes() == radial_reference(p, a).tobytes()
 
     @settings(max_examples=120, deadline=None)
     @given(

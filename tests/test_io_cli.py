@@ -1,7 +1,9 @@
 import copy
 import hashlib
+import importlib
 import json
 import math
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -220,6 +222,19 @@ class TestCli:
         assert set(ortho) == {"exact_harmonic", "coexact_harmonic", "defect"}
         larger = max(abs(ortho["exact_harmonic"]), abs(ortho["coexact_harmonic"]))
         assert ortho["defect"] == larger / max(diag["norm_alpha"] ** 2, sys.float_info.min)
+
+    @pytest.mark.parametrize("form, space", [("mixed", "h1"), ("dx", "l2")])
+    def test_decompose_report_blocks_are_the_library_results(self, small_mesh, tmp_path, form, space):
+        path = tmp_path / "split.json"
+        assert main(["decompose", "--mesh", str(small_mesh[3]), "--form", f"builtin:{form}",
+                     "--space", space, "--seed", "4", "--deterministic", "--out", str(path)]) == 0
+        report = json.loads(path.read_text())
+        disc = hd.Discretization(io.load_mesh(small_mesh[3]))
+        alpha = hd.builtin_form(form, disc.mesh, disc.cx, disc.stars, seed=4)
+        split = hd.decompose(alpha, space, disc)
+        assert report["diagnostics"] == split.diagnostics
+        assert report["harmonic"] == hd.harmonic_diagnostics(split.gamma, disc)
+        assert report["solver"] == split.solver
 
     def test_disconnected_mesh_file_is_validation_error(self, tmp_path, capsys):
         mesh_path, out = tmp_path / "m.json", tmp_path / "out.json"
@@ -817,3 +832,11 @@ print([m for m in ("scipy.sparse.csgraph", "scipy.sparse.linalg") if m in sys.mo
                           text=True, env={"PYTHONPATH": src}, timeout=120, check=True)
     assert done.stdout.strip().splitlines()[-1] == "[]"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ball.json", "d.json", "t.json", "v.json"]
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(hd.__path__)))
+def test_every_name_in_a_module_all_resolves(name):
+    # a traced benchmark run looks up every listed name, so a stale one breaks it
+    module = importlib.import_module(f"hodgedec.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert missing == []
