@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 import sys
-from array import array
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -209,17 +207,10 @@ def mesh_edge_lengths(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
     return edges, pairwise_distances(v[edges[:, 0]], v[edges[:, 1]], mesh.curvature)
 
 
-def law_of_cosines(opposite, b, c):
-    """Unclipped cosine of the corner between sides b and c, facing `opposite`.
-
-    One operation order for arrays and floats, so both agree to the bit.
-    """
-    return (b * b + c * c - opposite * opposite) / (2 * b * c)
-
-
 def corner_cosines(L: np.ndarray) -> np.ndarray:
     """Clipped corner cosines of intrinsic triangles; L[:, c] is opposite corner c."""
-    return np.clip(law_of_cosines(L, L[:, [1, 2, 0]], L[:, [2, 0, 1]]), -1.0, 1.0)
+    b, c = L[:, [1, 2, 0]], L[:, [2, 0, 1]]
+    return np.clip((b * b + c * c - L * L) / (2 * b * c), -1.0, 1.0)
 
 
 def mesh_area(mesh: TriMesh) -> float:
@@ -319,83 +310,62 @@ def _cot_sums(lengths: np.ndarray, face_edges: np.ndarray) -> np.ndarray:
     return np.bincount(face_edges.reshape(-1), weights=cot.reshape(-1), minlength=lengths.shape[0])
 
 
-def _cot(opposite: float, b: float, c: float) -> float:
-    """Scalar twin of one `_cot_sums` term: the cotangent of the corner facing `opposite`."""
-    x = min(1.0, max(-1.0, law_of_cosines(opposite, b, c)))
-    return x / math.sqrt(max(1.0 - x * x, 1e-300))
-
-
-def _ccw(vertices, i, j, k) -> bool:
-    (x0, y0), (x1, y1), (x2, y2) = vertices[i], vertices[j], vertices[k]
-    return (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) > 0.0
+def _ccw(vertices: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Whether each triangle runs counterclockwise in model coordinates."""
+    corners = vertices[tris]  # (F, 3, 2)
+    u, w = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+    return u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0] > 0.0
 
 
 def _flip_to_intrinsic_delaunay(vertices: np.ndarray, tris: np.ndarray, a: float) -> np.ndarray:
     """Deterministic edge flips until every interior edge has cot sum >= 0.
 
     Raw zigzag stitching can leave a few locally non-Delaunay edges near the
-    center, which would produce non-positive star weights downstream. The
-    pass runs on one edge table held in flat buffers: a flip reuses the slot
-    of the removed edge for the new diagonal, whose length is the only
-    distance it computes.
+    center, which would produce non-positive star weights downstream. Each
+    round flips, at once, every non-Delaunay edge whose quad is convex and
+    that is the lowest-index such edge on both of its faces, so no two flips
+    of a round share a face. A flip reuses the slot of the removed edge for
+    the new diagonal, whose length is the only distance it computes.
     """
-    edges, face_edges, _ = edge_table(tris, vertices.shape[0])
-    lengths = pairwise_distances(vertices[edges[:, 0]], vertices[edges[:, 1]], a)
-    bad = np.flatnonzero(_cot_sums(lengths, face_edges) < -1e-12)
-    if bad.size == 0:
-        return tris
-
-    T = array("q", tris.astype(np.int64).tobytes())  # T[3f + k]: corner k of face f
-    FE = array("q", face_edges.astype(np.int64).tobytes())  # FE[3f + k]: edge opposite it
-    EF = array("q", edge_faces(face_edges, edges.shape[0]).tobytes())  # EF[2e], EF[2e + 1]: faces on e
-    L = array("d", lengths.tobytes())
-
-    def retarget(e, old, new):
-        EF[2 * e if EF[2 * e] == old else 2 * e + 1] = new
-
-    queue = deque(bad.tolist())
-    queued = set(queue)
+    T = np.array(tris, dtype=np.int64)
+    edges, FE, _ = edge_table(T, vertices.shape[0])
+    EF = edge_faces(FE, edges.shape[0])
+    L = pairwise_distances(vertices[edges[:, 0]], vertices[edges[:, 1]], a)
+    t, fe = T.reshape(-1), FE.reshape(-1)  # t[3f + k]: corner k of face f; fe[3f + k]: edge opposite it
     budget = 20 * edges.shape[0]
-    while queue:
-        budget -= 1
+    while True:
+        e = np.flatnonzero((EF[:, 1] >= 0) & (_cot_sums(L, FE) < -1e-12))
+        f = EF[e]  # (n, 2)
+        # corner k of a face faces e, and e runs from corner k + 1 to corner k + 2
+        k = np.argmax(FE[f] == e[:, None, None], axis=2)
+        i, n, m = 3 * f + k, 3 * f + (k + 1) % 3, 3 * f + (k + 2) % 3
+        swap = (t[n[:, 0]] > t[m[:, 0]])[:, None]  # order the faces so the first runs u -> v, u < v
+        f, i, n, m = (np.where(swap, x[:, ::-1], x) for x in (f, i, n, m))
+        u, v, p, q = t[n[:, 0]], t[m[:, 0]], t[i[:, 0]], t[i[:, 1]]
+        new = np.stack([np.stack([u, q, p], axis=1), np.stack([v, p, q], axis=1)], axis=1)
+        # a consistently oriented pair of faces whose quad is convex
+        ok = (t[n[:, 1]] == v) & (t[m[:, 1]] == u) & _ccw(vertices, new[:, 0]) & _ccw(vertices, new[:, 1])
+        # first[f]: the lowest such edge on face f; only those on both faces flip
+        first = np.full(T.shape[0], edges.shape[0])
+        np.minimum.at(first, f[ok].reshape(-1), np.repeat(e[ok], 2))
+        go = np.all(first[f] == e[:, None], axis=1)
+        if not go.any():
+            return T
+        budget -= np.count_nonzero(go)
         if budget < 0:
             raise MeshQualityError("intrinsic Delaunay flipping did not terminate")
-        e = queue.popleft()
-        queued.discard(e)
-        f1, f2 = EF[2 * e], EF[2 * e + 1]
-        if f2 < 0:
-            continue
-        # corner k of a face faces e, and e runs from corner k + 1 to corner k + 2
-        j1, j2 = 3 * f1, 3 * f2
-        k1, k2 = FE[j1 : j1 + 3].index(e), FE[j2 : j2 + 3].index(e)
-        i1, n1, m1 = j1 + k1, j1 + (k1 + 1) % 3, j1 + (k1 + 2) % 3
-        i2, n2, m2 = j2 + k2, j2 + (k2 + 1) % 3, j2 + (k2 + 2) % 3
-        if T[n1] > T[m1]:  # orient so that face f1 runs u -> v with u < v
-            f1, f2, j1, j2, i1, i2, n1, m1, n2, m2 = f2, f1, j2, j1, i2, i1, n2, m2, n1, m1
-        u, v, p, q = T[n1], T[m1], T[i1], T[i2]
-        if T[n2] != v or T[m2] != u:
-            continue
-        if _cot(L[e], L[FE[n1]], L[FE[m1]]) + _cot(L[e], L[FE[n2]], L[FE[m2]]) >= -1e-12:
-            continue
-        if not (_ccw(vertices, u, q, p) and _ccw(vertices, v, p, q)):
-            continue  # non-convex quad; leave the edge alone
-        e_vp, e_pu, e_uq, e_qv = FE[n1], FE[m1], FE[n2], FE[m2]
-        T[j1], T[j1 + 1], T[j1 + 2], FE[j1], FE[j1 + 1], FE[j1 + 2] = u, q, p, e, e_pu, e_uq
-        T[j2], T[j2 + 1], T[j2 + 2], FE[j2], FE[j2 + 1], FE[j2 + 2] = v, p, q, e, e_qv, e_vp
-        retarget(e_uq, f2, f1)
-        retarget(e_vp, f1, f2)
-        L[e] = distance(vertices[p], vertices[q], a)
-        for side in (e_pu, e_vp, e_qv, e_uq):
-            if side not in queued:
-                queue.append(side)
-                queued.add(side)
-    return np.frombuffer(T, dtype=np.int64).reshape(-1, 3)
+        e, f, n, m, new, p, q = e[go], f[go], n[go], m[go], new[go], p[go], q[go]
+        e_vp, e_pu, e_uq, e_qv = fe[n[:, 0]], fe[m[:, 0]], fe[n[:, 1]], fe[m[:, 1]]
+        T[f] = new
+        FE[f] = np.stack([np.stack([e, e_pu, e_uq], axis=1), np.stack([e, e_qv, e_vp], axis=1)], axis=1)
+        # e_uq moves from the second face to the first, e_vp the other way
+        sides, old = np.r_[e_uq, e_vp], np.r_[f[:, 1], f[:, 0]]
+        EF[sides, (EF[sides, 0] != old).astype(np.int64)] = np.r_[f[:, 0], f[:, 1]]
+        L[e] = pairwise_distances(vertices[p], vertices[q], a)
 
 
 def _audit_mesh(mesh: TriMesh, h: float):
-    corners = mesh.vertices[mesh.triangles]  # (F, 3, 2)
-    u, w = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
-    if np.any(u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0] <= 0.0):
+    if not np.all(_ccw(mesh.vertices, mesh.triangles)):
         raise MeshQualityError("generated triangle is not counterclockwise")
     _, lengths = mesh_edge_lengths(mesh)
     slack = 1e-9 * h

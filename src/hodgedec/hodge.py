@@ -147,9 +147,15 @@ def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-
     """
     cx, stars = disc.cx, disc.stars
     _check_edge_values(alpha, cx, "decompose")
+    # the split of alpha * 2**-e, whose entries lie below 1 in size, scaled back
+    # by 2**e: exact away from underflow and overflow, so a tiny alpha keeps its
+    # norms and conjugate-gradient products from underflowing
+    e = int(np.frexp(np.abs(alpha.values).max(initial=0.0))[1])
+    alpha = Cochain(1, np.ldexp(alpha.values, -e))
     norm_alpha = dec.norm(alpha, space, cx, stars)  # also rejects an unknown space
-    if not np.isfinite(norm_alpha):
-        raise ConfigError(f"decompose: |alpha| in {space} is not finite; rescale the input")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.ldexp(norm_alpha * norm_alpha, 2 * e)):
+            raise ConfigError(f"decompose: |alpha|^2 in {space} is not finite; rescale the input")
 
     vi, fi, P, Q = disc.potential_maps
     s1 = sp.diags(stars.star1).tocsr()
@@ -178,24 +184,24 @@ def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-
     ortho = [dec.inner(w, gamma, space, cx, stars) for w in (d_beta, delta_omega)]
     alpha_sq = max(norm_alpha**2, np.finfo(float).tiny)
     diagnostics = {
-        "norm_alpha": norm_alpha,
-        "norm_exact": float(np.sqrt(max(norms_sq[0], 0.0))),
-        "norm_coexact": float(np.sqrt(max(norms_sq[1], 0.0))),
-        "norm_gamma": float(np.sqrt(max(norms_sq[2], 0.0))),
+        "norm_alpha": float(np.ldexp(norm_alpha, e)),
+        "norm_exact": float(np.ldexp(np.sqrt(max(norms_sq[0], 0.0)), e)),
+        "norm_coexact": float(np.ldexp(np.sqrt(max(norms_sq[1], 0.0)), e)),
+        "norm_gamma": float(np.ldexp(np.sqrt(max(norms_sq[2], 0.0)), e)),
         "reconstruction_residual": float(
             np.max(_optimality_terms(gamma.values, P, Q, stars.star1) / scales)
         ),
         "orthogonality": {
-            "exact_harmonic": ortho[0],
-            "coexact_harmonic": ortho[1],
+            "exact_harmonic": float(np.ldexp(ortho[0], 2 * e)),
+            "coexact_harmonic": float(np.ldexp(ortho[1], 2 * e)),
             "defect": max(abs(ortho[0]), abs(ortho[1])) / alpha_sq,
         },
         "pythagoras_defect": abs(norm_alpha**2 - sum(norms_sq)) / alpha_sq,
     }
     return HodgeSplit(
-        beta=Cochain(0, beta),
-        omega=Cochain(2, omega),
-        gamma=gamma,
+        beta=Cochain(0, np.ldexp(beta, e)),
+        omega=Cochain(2, np.ldexp(omega, e)),
+        gamma=Cochain(1, np.ldexp(gamma.values, e)),
         diagnostics=diagnostics,
         solver={"vertex": stats_b, "face": stats_w},
     )

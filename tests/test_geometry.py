@@ -206,12 +206,13 @@ class TestBallMesh:
 
 # legacy_mesh_checksum of ball_mesh(a, rho, h), pinned so that any change to
 # the mesh bytes (face order, corner order, flipped edges) shows; each of these
-# meshes flips between 17 and 409 edges
+# meshes flips between 27 and 3,054 edges, the most at the wide ball (1, 6, 0.2)
 PINNED_MESHES = {
     (1.0, 1.2, 0.15): "07ba98c51af2277f923762f4001a07282a84975768fe6cff5ee20048eb933343",
     (1.0, 3.0, 0.3): "4e585a07a6288bb966ffc8a55913cf28fba9dc57247a5fd5ab8f140a1101268c",
     (2.0, 2.0, 0.1): "ee3be1f1806251758e55fe18b08d2f9cfd8b8eefcdf5e9d21fa2afefccfc7d02",
     (0.0, 1.0, 0.1): "13e210e9de6431b1b486084c2e2132a08cdf467cb0b50f64de6d54d7ebef31c9",
+    (1.0, 6.0, 0.2): "3f4381477483d0f61f798cd56e645ed9683d94fcc61ec6bfcbd92e5c90c66a59",
 }
 # mesh_checksum (the array digest) of the same meshes
 PINNED_MESHES_V2 = {
@@ -219,6 +220,7 @@ PINNED_MESHES_V2 = {
     (1.0, 3.0, 0.3): "3a89b8275d8fc33423d65e265411a0ff6d3002c8d68e43be9255a21182dc4c73",
     (2.0, 2.0, 0.1): "bbdea36741ceff2c6ae24641cb5e3491113697591f66f5ab2f164e910f287ea7",
     (0.0, 1.0, 0.1): "74f1eb682e3f97e7fdd43ba4520fa89884b94a480a2f87c24550552272136f9f",
+    (1.0, 6.0, 0.2): "b7d2ea2d1c6255a20862b723133f4f090711c4cdd976ed93284a5391e1f3e1a1",
 }
 
 
@@ -241,17 +243,22 @@ class TestFlipPass:
         sums = geometry._cot_sums(mesh_edge_lengths(mesh)[1], face_edges)
         assert sums[counts == 2].min() < -1e-12
 
-    def test_scalar_and_vector_cotangents_agree_bitwise(self, discretize):
-        mesh = discretize(1.0, 2.0, 0.2).mesh
-        _, face_edges, _ = edge_table(mesh.triangles, mesh.num_vertices)
-        _, lengths = mesh_edge_lengths(mesh)
-        L = lengths[face_edges]
-        cos = geometry.corner_cosines(L)
-        vector = cos / np.sqrt(np.maximum(1.0 - cos * cos, 1e-300))
-        for f in range(0, L.shape[0], 7):
-            for c in range(3):
-                opposite, b, d = (float(L[f, (c + k) % 3]) for k in range(3))
-                assert geometry._cot(opposite, b, d) == vector[f, c]
+    def test_non_delaunay_edges_sharing_a_face_flip_in_turn(self):
+        # flat: AB (opposite angles 100 and 100 degrees) and BC (40 and 150) are
+        # both non-Delaunay and share face ABC, so only one of them may flip at a time
+        t40 = math.tan(math.radians(40.0))
+        B, C = np.array([1.0, 0.0]), np.array([0.5, 0.5 * t40])
+        bc = C - B
+        normal = np.array([bc[1], -bc[0]]) / np.linalg.norm(bc)
+        E = (B + C) / 2 + (np.linalg.norm(bc) / 2) / math.tan(math.radians(75.0)) * normal
+        vertices = np.array([[0.0, 0.0], B, C, [0.5, -0.5 * t40], E])
+        tris = np.array([[0, 1, 2], [1, 0, 3], [2, 1, 4]])
+        edges, face_edges, _ = edge_table(tris, 5)
+        lengths = geometry.pairwise_distances(vertices[edges[:, 0]], vertices[edges[:, 1]], 0.0)
+        sums = geometry._cot_sums(lengths, face_edges)
+        assert {tuple(x) for x in edges[sums < -1e-12]} == {(0, 1), (1, 2)}
+        np.testing.assert_array_equal(geometry._flip_to_intrinsic_delaunay(vertices, tris, 0.0),
+                                      [[0, 3, 2], [1, 4, 3], [2, 3, 4]])
 
     def test_edge_table_matches_axis_unique_reference(self, discretize):
         mesh = discretize(1.0, 1.0, 0.2).mesh

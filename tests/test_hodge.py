@@ -168,6 +168,24 @@ class TestDecompose:
         assert np.sqrt(dec.interior_inner(d_gamma, d_gamma, cx, stars)) <= 1e-6 * scale
         assert np.sqrt(dec.interior_inner(s_gamma, s_gamma, cx, stars)) <= 1e-6 * scale
 
+    @pytest.mark.parametrize("factor", [2.0**-600, 1e-160, 1e-170], ids=["2**-600", "1e-160", "1e-170"])
+    def test_tiny_input_splits_as_the_input_times_its_factor(self, discretize, factor):
+        # unscaled, the norms and conjugate-gradient products of these inputs underflow
+        disc = discretize(1.0, 1.5, 0.3)
+        alpha = builtin_form("mixed", disc.mesh, disc.cx, disc.stars, seed=1)
+        base = hd.decompose(alpha, "h1", disc)
+        split = hd.decompose(Cochain(1, alpha.values * factor), "h1", disc)
+        exact = factor == 2.0**-600  # a power of two scales without rounding
+        for part in ("beta", "omega", "gamma"):
+            got, want = getattr(split, part).values, getattr(base, part).values * factor
+            if exact:
+                np.testing.assert_array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for key in ("norm_alpha", "norm_exact", "norm_coexact", "norm_gamma"):
+            want = base.diagnostics[key] * factor
+            assert split.diagnostics[key] == (want if exact else pytest.approx(want, rel=1e-12))
+
     def test_degenerate_mesh_rejected(self):
         disc = hd.Discretization(hd.ball_mesh(0.0, 0.1, 0.1))  # single ring: no interior faces
         with pytest.raises(ConfigError):
