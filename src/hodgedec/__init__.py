@@ -33,7 +33,6 @@ from .geometry import (
     distance,
     mesh_area,
     radial_distance,
-    triangle_area,
 )
 from .hodge import (
     Discretization,
@@ -45,7 +44,7 @@ from .hodge import (
     truncation_distance,
 )
 from .io import load_cochain, load_mesh, mesh_checksum, save_cochain, save_mesh
-from .simplicial import Cochain, SimplicialComplex, apply_d, build_complex, interior_restriction
+from .simplicial import Cochain, SimplicialComplex, apply_d, build_complex
 from .weitzenbock import run_verification, star_involution_sign
 
 __version__ = "0.1.0"

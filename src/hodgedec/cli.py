@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import dec, forms, hodge, io, weitzenbock
+from . import forms, hodge, io, weitzenbock
 from .errors import ConfigError, ConvergenceError
 from .geometry import ball_mesh, ball_ring_sizes, check_cutoff_scales
 from .hodge import Discretization
@@ -201,13 +201,15 @@ def _cmd_convergence(args) -> int:
         alpha = _load_form(args.form, disc, args.seed)
         # closedness of the level's input form: the sampling-consistency trend
         inp = hodge.harmonic_diagnostics(alpha, disc)
-        if dec.norm(alpha, "l2", disc.cx, disc.stars) == 0.0:
+        if not alpha.values.any():
             raise ConfigError(f"convergence: the input form has zero L2 norm at level {level}")
         in_d, in_delta = inp["d_residual"], inp["delta_residual"]
         split = hodge.decompose(alpha, args.space, disc, tol=args.tol)
         rep = hodge.harmonic_diagnostics(split.gamma, disc)  # residuals 0.0 for a zero gamma
         d = split.diagnostics
-        deficit = 1.0 - d["norm_gamma"] ** 2 / d["norm_alpha"] ** 2
+        # both norms over 2**e, so that neither square underflows
+        e = math.frexp(d["norm_alpha"])[1]
+        deficit = 1.0 - math.ldexp(d["norm_gamma"], -e) ** 2 / math.ldexp(d["norm_alpha"], -e) ** 2
         ratio = rep["bound_ratio"] if rep["bound_ratio"] is not None else float("nan")
         row = (level, h, in_d, in_delta, rep["d_residual"], rep["delta_residual"], ratio,
                d["orthogonality"]["defect"], deficit)

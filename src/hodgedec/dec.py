@@ -66,7 +66,6 @@ class StarWeights:
     star2: np.ndarray
     curvature: float
     face_areas: np.ndarray
-    edge_lengths: np.ndarray
     clamp_count: int
 
 
@@ -85,10 +84,10 @@ def assemble_stars(mesh: TriMesh, cx: SimplicialComplex) -> StarWeights:
     the number of clamped faces is reported. Any non-positive weight rejects
     the mesh.
     """
-    edge_lengths = pairwise_distances(
+    lengths = pairwise_distances(
         mesh.vertices[cx.edges[:, 0]], mesh.vertices[cx.edges[:, 1]], mesh.curvature
     )
-    L = edge_lengths[cx.face_edges]  # (F, 3), L[:, c] opposite corner c
+    L = lengths[cx.face_edges]  # (F, 3), L[:, c] opposite corner c
     cos = corner_cosines(L)
     areas = heron_area(L[:, 0], L[:, 1], L[:, 2])
     if np.any(areas <= 0.0):
@@ -125,7 +124,6 @@ def assemble_stars(mesh: TriMesh, cx: SimplicialComplex) -> StarWeights:
         star2=star2,
         curvature=mesh.curvature,
         face_areas=areas,
-        edge_lengths=np.asarray(edge_lengths),
         clamp_count=int(np.count_nonzero(clamped)),
     )
 

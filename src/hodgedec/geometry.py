@@ -25,11 +25,9 @@ __all__ = [
     "pairwise_distances",
     "radial_distance",
     "model_radius",
-    "triangle_area",
     "mesh_area",
     "ball_mesh",
     "ball_ring_sizes",
-    "mesh_edge_lengths",
     "cutoff_profile",
     "cutoff_cochain",
     "check_cutoff_scales",
@@ -153,23 +151,6 @@ def _triangle_areas_hyperbolic(l1, l2, l3, a):
     return 4.0 * np.arctan(np.sqrt(np.maximum(t, 0.0))) / (a * a)
 
 
-def triangle_area(l1: float, l2: float, l3: float, a: float) -> float:
-    """Area of the geodesic triangle with side lengths l1, l2, l3.
-
-    Heron's formula at a = 0; the angle defect divided by a**2 at a > 0.
-    Degenerate (equality) triangles have zero area; a violated triangle
-    inequality raises DomainError.
-    """
-    sides = sorted((l1, l2, l3))
-    if sides[0] <= 0:
-        raise DomainError("triangle side lengths must be positive")
-    if sides[0] + sides[1] < sides[2]:
-        raise DomainError("triangle inequality violated")
-    if a == 0.0:
-        return float(heron_area(l1, l2, l3))
-    return float(_triangle_areas_hyperbolic(l1, l2, l3, a))
-
-
 def edge_table(triangles: np.ndarray, num_vertices: int):
     """Undirected edges of a triangle list: (edges, face_edges, counts).
 
@@ -198,13 +179,6 @@ def edge_faces(face_edges: np.ndarray, num_edges: int) -> np.ndarray:
     faces = np.full((num_edges, 2), -1, dtype=np.int64)
     faces[slots[order], second.astype(np.int64)] = order // 3
     return faces
-
-
-def mesh_edge_lengths(mesh: TriMesh) -> tuple[np.ndarray, np.ndarray]:
-    """Undirected edge list (sorted pairs, lexicographic) and geodesic lengths."""
-    edges, _, _ = edge_table(mesh.triangles, mesh.num_vertices)
-    v = mesh.vertices
-    return edges, pairwise_distances(v[edges[:, 0]], v[edges[:, 1]], mesh.curvature)
 
 
 def corner_cosines(L: np.ndarray) -> np.ndarray:
@@ -317,8 +291,9 @@ def _ccw(vertices: np.ndarray, tris: np.ndarray) -> np.ndarray:
     return u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0] > 0.0
 
 
-def _flip_to_intrinsic_delaunay(vertices: np.ndarray, tris: np.ndarray, a: float) -> np.ndarray:
-    """Deterministic edge flips until every interior edge has cot sum >= 0.
+def _flip_to_intrinsic_delaunay(vertices: np.ndarray, tris: np.ndarray, a: float):
+    """Deterministic edge flips until every interior edge has cot sum >= 0;
+    the flipped triangles and the geodesic length of every edge, one per slot.
 
     Raw zigzag stitching can leave a few locally non-Delaunay edges near the
     center, which would produce non-positive star weights downstream. Each
@@ -350,7 +325,7 @@ def _flip_to_intrinsic_delaunay(vertices: np.ndarray, tris: np.ndarray, a: float
         np.minimum.at(first, f[ok].reshape(-1), np.repeat(e[ok], 2))
         go = np.all(first[f] == e[:, None], axis=1)
         if not go.any():
-            return T
+            return T, L
         budget -= np.count_nonzero(go)
         if budget < 0:
             raise MeshQualityError("intrinsic Delaunay flipping did not terminate")
@@ -364,10 +339,11 @@ def _flip_to_intrinsic_delaunay(vertices: np.ndarray, tris: np.ndarray, a: float
         L[e] = pairwise_distances(vertices[p], vertices[q], a)
 
 
-def _audit_mesh(mesh: TriMesh, h: float):
+def _audit_mesh(mesh: TriMesh, h: float, lengths: np.ndarray):
+    """Reject a triangle that is not counterclockwise, or any of `lengths` (one
+    per edge, in any order) outside the band [h/2, 2h]."""
     if not np.all(_ccw(mesh.vertices, mesh.triangles)):
         raise MeshQualityError("generated triangle is not counterclockwise")
-    _, lengths = mesh_edge_lengths(mesh)
     slack = 1e-9 * h
     if np.any(lengths < h / 2 - slack) or np.any(lengths > 2 * h + slack):
         bad = float(lengths.min()), float(lengths.max())
@@ -393,7 +369,7 @@ def ball_mesh(a: float, rho_max: float, h: float) -> TriMesh:
     tris = [np.stack([np.zeros_like(rings[0]), rings[0], np.roll(rings[0], -1)], axis=1)]
     for i, (inner, outer) in enumerate(zip(rings[:-1], rings[1:]), start=1):
         tris.append(_stitch_rings(inner, outer, _TWIST * i, _TWIST * (i + 1)))
-    triangles = _flip_to_intrinsic_delaunay(vertices, np.concatenate(tris), a)
+    triangles, lengths = _flip_to_intrinsic_delaunay(vertices, np.concatenate(tris), a)
 
     mesh = TriMesh(
         vertices=vertices,
@@ -407,7 +383,7 @@ def ball_mesh(a: float, rho_max: float, h: float) -> TriMesh:
             "realized_radius": float(len(sizes) * h),
         },
     )
-    _audit_mesh(mesh, h)
+    _audit_mesh(mesh, h, lengths)
     return mesh
 
 

@@ -11,6 +11,7 @@ interior 2-cochain by integrating over a dual spanning tree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -92,14 +93,29 @@ class StreamResult:
     path_defect: float  # worst closure mismatch on non-tree dual edges
 
 
-def _check_edge_values(c: Cochain, cx: SimplicialComplex, what: str):
-    """A degree-1 cochain with one finite value per edge; checked before any work."""
+def _check_edge_values(c: Cochain, disc: Discretization, what: str, space: str = "l2"):
+    """Check, before any work, that c is a degree-1 cochain with one finite
+    value per edge and a finite squared norm in `space`; return c * 2**-e, e
+    and the squared norm of c * 2**-e.
+
+    The entries of c * 2**-e lie below 1 in size, so its norms and products
+    do not underflow, and scaling results back by 2**e (squared ones by
+    2**2e) is exact away from underflow and overflow.
+    """
+    cx = disc.cx
     if c.degree != 1:
         raise DegreeError(f"{what} needs a degree-1 cochain")
     if c.values.shape != (cx.num_edges,):
         raise ConfigError(f"{what} needs {cx.num_edges} edge values, got shape {c.values.shape}")
     if not np.all(np.isfinite(c.values)):
         raise ConfigError(f"{what} needs finite cochain values")
+    e = int(np.frexp(np.abs(c.values).max(initial=0.0))[1])
+    c = Cochain(1, np.ldexp(c.values, -e))
+    sq = dec.inner(c, c, space, cx, disc.stars)  # also rejects an unknown space
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.ldexp(sq, 2 * e)):
+            raise ConfigError(f"{what}: the squared {space} norm is not finite; rescale the input")
+    return c, e, sq
 
 
 def _optimality_terms(x: np.ndarray, P, Q, star1: np.ndarray) -> np.ndarray:
@@ -146,16 +162,9 @@ def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-
     iterations and residual.
     """
     cx, stars = disc.cx, disc.stars
-    _check_edge_values(alpha, cx, "decompose")
-    # the split of alpha * 2**-e, whose entries lie below 1 in size, scaled back
-    # by 2**e: exact away from underflow and overflow, so a tiny alpha keeps its
-    # norms and conjugate-gradient products from underflowing
-    e = int(np.frexp(np.abs(alpha.values).max(initial=0.0))[1])
-    alpha = Cochain(1, np.ldexp(alpha.values, -e))
-    norm_alpha = dec.norm(alpha, space, cx, stars)  # also rejects an unknown space
-    with np.errstate(over="ignore"):
-        if not np.isfinite(np.ldexp(norm_alpha * norm_alpha, 2 * e)):
-            raise ConfigError(f"decompose: |alpha|^2 in {space} is not finite; rescale the input")
+    # the split of alpha * 2**-e, scaled back by 2**e
+    alpha, e, sq = _check_edge_values(alpha, disc, "decompose", space)
+    norm_alpha = math.sqrt(max(sq, 0.0))
 
     vi, fi, P, Q = disc.potential_maps
     s1 = sp.diags(stars.star1).tocsr()
@@ -220,9 +229,9 @@ def harmonic_diagnostics(gamma: Cochain, disc: Discretization) -> dict:
     simplices (against compact supports), consistent with the H1 pairing.
     """
     cx, stars = disc.cx, disc.stars
-    _check_edge_values(gamma, cx, "harmonic diagnostics")
+    # the diagnostics of gamma * 2**-e: the energy is scaled back by 2**2e
+    gamma, e, norm_sq = _check_edge_values(gamma, disc, "harmonic diagnostics")
     c = dec.curvature_constant(stars.curvature, 1)
-    norm_sq = dec.inner(gamma, gamma, "l2", cx, stars)
     if norm_sq == 0.0:
         return {"energy": 0.0, "bound_ratio": None, "d_residual": 0.0, "delta_residual": 0.0}
     d_gamma = apply_d(gamma, cx)
@@ -231,7 +240,7 @@ def harmonic_diagnostics(gamma: Cochain, disc: Discretization) -> dict:
     s_sq = dec.interior_inner(s_gamma, s_gamma, cx, stars)
     energy = d_sq + s_sq + c * norm_sq
     return {
-        "energy": energy,
+        "energy": float(np.ldexp(energy, 2 * e)),
         "bound_ratio": energy / (2.0 * c * norm_sq) if c > 0 else None,
         "d_residual": float(np.sqrt(d_sq / norm_sq)),
         "delta_residual": float(np.sqrt(s_sq / norm_sq)),
@@ -261,9 +270,10 @@ def stream_function(v: Cochain, disc: Discretization, tol: float = 1e-10) -> Str
     if not 0.0 < tol < 1.0:
         raise ConfigError(f"stream tolerance must lie in (0, 1), got {tol!r}")
     cx, stars = disc.cx, disc.stars
-    _check_edge_values(v, cx, "stream function")
+    # the stream function of v * 2**-e, scaled back by 2**e
+    v, e, v_sq = _check_edge_values(v, disc, "stream function")
     collar = ~cx.interior_edges
-    vmax = float(np.abs(v.values).max()) if v.values.size else 0.0
+    vmax = float(np.abs(v.values).max(initial=0.0))
     if vmax == 0.0:
         f = np.zeros(cx.num_faces)
         return StreamResult(f, Cochain(2, f.copy()), 0.0, 0.0)
@@ -276,7 +286,7 @@ def stream_function(v: Cochain, disc: Discretization, tol: float = 1e-10) -> Str
         worst = int(np.flatnonzero(cx.interior_vertices)[worst_local])
         raise PreconditionError(
             f"input not co-closed: vertex {worst} has relative defect "
-            f"{float(rel_int[worst_local]):.3e} (divergence {float(resid[worst]):.3e})"
+            f"{float(rel_int[worst_local]):.3e} (divergence {float(np.ldexp(resid[worst], e)):.3e})"
         )
 
     # imported here: scipy.sparse.csgraph loads scipy.sparse.linalg, about 11 MB
@@ -308,7 +318,7 @@ def stream_function(v: Cochain, disc: Discretization, tol: float = 1e-10) -> Str
     f -= f[root]
 
     closure = cx.d1.T @ f - w
-    defect_scale = max(vmax * float(stars.star1.max()), float(np.abs(f).max()), 1.0)
+    defect_scale = max(vmax * float(stars.star1.max()), float(np.abs(f).max()))
     path_defect = float(np.abs(closure).max()) / defect_scale
     if path_defect > 100 * tol:
         raise PreconditionError(
@@ -318,8 +328,8 @@ def stream_function(v: Cochain, disc: Discretization, tol: float = 1e-10) -> Str
     omega = Cochain(2, f * stars.face_areas)
     delta_omega = dec.codifferential(omega, cx, stars)
     diff = delta_omega.values - v.values
-    res = dec.norm(Cochain(1, diff), "l2", cx, stars) / dec.norm(v, "l2", cx, stars)
-    return StreamResult(f, omega, float(res), path_defect)
+    res = dec.norm(Cochain(1, diff), "l2", cx, stars) / math.sqrt(v_sq)
+    return StreamResult(np.ldexp(f, e), Cochain(2, np.ldexp(omega.values, e)), float(res), path_defect)
 
 
 def truncation_distance(gamma: Cochain, R: float, space: str, disc: Discretization) -> float:
@@ -330,9 +340,10 @@ def truncation_distance(gamma: Cochain, R: float, space: str, disc: Discretizati
     meshed ball.
     """
     cx = disc.cx
-    _check_edge_values(gamma, cx, "truncation distance")
+    # the distance of gamma * 2**-e, scaled back by 2**e
+    gamma, e, _ = _check_edge_values(gamma, disc, "truncation distance")
     check_cutoff_scales([R], disc.mesh)
     phi = cutoff_cochain(disc.mesh, R).values
     edge_factor = 0.5 * (phi[cx.edges[:, 0]] + phi[cx.edges[:, 1]])
     diff = Cochain(1, gamma.values - edge_factor * gamma.values)
-    return dec.norm(diff, space, cx, disc.stars)
+    return float(np.ldexp(dec.norm(diff, space, cx, disc.stars), e))

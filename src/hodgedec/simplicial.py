@@ -1,4 +1,4 @@
-"""Oriented simplicial bookkeeping: cochains, incidence operators, boundary flags.
+"""Oriented simplicial bookkeeping: cochains, incidence operators, interior flags.
 
 Edges carry the canonical low-to-high vertex orientation so that incidence
 signs are reproducible across runs. "Interior" simplices are those not
@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from .errors import DegreeError, TopologyError
 from .geometry import TriMesh, edge_faces, edge_table
 
-__all__ = ["Cochain", "SimplicialComplex", "build_complex", "apply_d", "interior_restriction"]
+__all__ = ["Cochain", "SimplicialComplex", "build_complex", "apply_d"]
 
 
 @dataclass
@@ -29,9 +29,6 @@ class Cochain:
         if self.degree not in (0, 1, 2):
             raise DegreeError(f"cochain degree must be 0, 1 or 2, got {self.degree}")
         self.values = np.asarray(self.values, dtype=float)
-
-    def copy(self) -> "Cochain":
-        return Cochain(self.degree, self.values.copy())
 
 
 @dataclass(frozen=True)
@@ -48,9 +45,7 @@ class SimplicialComplex:
     face_edges: np.ndarray  # (F, 3), column c is the edge opposite corner c
     d0: sp.csr_matrix
     d1: sp.csr_matrix
-    boundary_vertices: np.ndarray  # bool (V,)
-    boundary_edges: np.ndarray  # bool (E,)
-    interior_vertices: np.ndarray  # bool: not a boundary vertex
+    interior_vertices: np.ndarray  # bool (V,): not a boundary vertex
     interior_edges: np.ndarray  # bool: no endpoint on the boundary
     interior_faces: np.ndarray  # bool: no vertex on the boundary
 
@@ -61,15 +56,6 @@ class SimplicialComplex:
     @property
     def num_faces(self) -> int:
         return self.faces.shape[0]
-
-    def simplex_count(self, degree: int) -> int:
-        if degree == 0:
-            return self.num_vertices
-        if degree == 1:
-            return self.num_edges
-        if degree == 2:
-            return self.num_faces
-        raise DegreeError(f"no simplices of degree {degree}")
 
 
 def build_complex(mesh: TriMesh) -> SimplicialComplex:
@@ -105,17 +91,17 @@ def build_complex(mesh: TriMesh) -> SimplicialComplex:
     face_rows = np.repeat(np.arange(num_f), 3)
     d1 = sp.csr_matrix((signs.reshape(-1), (face_rows, face_edges.reshape(-1))), shape=(num_f, num_e))
 
-    boundary_edges = counts == 1
-    boundary_vertices = np.zeros(num_v, dtype=bool)
-    boundary_vertices[edges[boundary_edges].reshape(-1)] = True
-    _check_boundary_cycle(edges[boundary_edges], boundary_vertices)
+    bedges = edges[counts == 1]
+    bverts = np.zeros(num_v, dtype=bool)
+    bverts[bedges.reshape(-1)] = True
+    _check_boundary_cycle(bedges, bverts)
     # faces linked through their shared edges: the dual graph must be connected
     fa, fb = edge_faces(face_edges, num_e)[counts == 2].T
     pieces = np.unique(_components(num_f, fa, fb)).size
     if pieces != 1:
         raise TopologyError(f"not a simplicial disk: the faces form {pieces} connected pieces")
 
-    interior_vertices = ~boundary_vertices
+    interior_vertices = ~bverts
     interior_edges = interior_vertices[edges[:, 0]] & interior_vertices[edges[:, 1]]
     interior_faces = (
         interior_vertices[faces[:, 0]]
@@ -132,8 +118,6 @@ def build_complex(mesh: TriMesh) -> SimplicialComplex:
         face_edges=face_edges,
         d0=d0,
         d1=d1,
-        boundary_vertices=boundary_vertices,
-        boundary_edges=boundary_edges,
         interior_vertices=interior_vertices,
         interior_edges=interior_edges,
         interior_faces=interior_faces,
@@ -180,15 +164,3 @@ def apply_d(c: Cochain, cx: SimplicialComplex) -> Cochain:
     if c.degree == 1:
         return Cochain(2, cx.d1 @ c.values)
     raise DegreeError("d of a 2-cochain is not defined on a surface")
-
-
-def interior_restriction(c: Cochain, cx: SimplicialComplex) -> Cochain:
-    """Zero the values on all boundary-touching simplices; idempotent."""
-    out = c.copy()
-    if c.degree == 0:
-        out.values[cx.boundary_vertices] = 0.0
-    elif c.degree == 1:
-        out.values[~cx.interior_edges] = 0.0
-    else:
-        out.values[~cx.interior_faces] = 0.0
-    return out

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import hodgedec as hd
 from hodgedec import geometry, io
 from hodgedec.errors import ConfigError, DomainError
-from hodgedec.geometry import edge_table, mesh_edge_lengths
+from hodgedec.geometry import _triangle_areas_hyperbolic, edge_table, heron_area
 
 from conftest import unreachable_placement
 
@@ -51,6 +51,12 @@ def angle_defect_oracle(pts):
         t1, t2 = geodesic_tangent(p, q), geodesic_tangent(p, r)
         total += math.acos(np.clip(t1.real * t2.real + t1.imag * t2.imag, -1, 1))
     return math.pi - total
+
+
+def edge_lengths(vertices, triangles, a):
+    """The sorted edges of a triangle list and their geodesic lengths."""
+    edges, _, _ = edge_table(triangles, len(vertices))
+    return edges, geometry.pairwise_distances(vertices[edges[:, 0]], vertices[edges[:, 1]], a)
 
 
 def radial_reference(points, a):
@@ -112,10 +118,10 @@ class TestDistance:
 
 class TestTriangleArea:
     def test_flat_equilateral(self):
-        assert hd.triangle_area(1, 1, 1, 0.0) == pytest.approx(FLAT_EQUILATERAL_AREA, rel=1e-14)
+        assert heron_area(1, 1, 1) == pytest.approx(FLAT_EQUILATERAL_AREA, rel=1e-14)
 
     def test_degenerate(self):
-        assert hd.triangle_area(1, 1, 2, 0.0) == 0.0
+        assert heron_area(1, 1, 2) == 0.0
 
     def test_hyperbolic_equilateral_vs_model_oracle(self):
         # place the equilateral triangle of side 1 in model coordinates
@@ -127,13 +133,7 @@ class TestTriangleArea:
         side = hd.distance((pts[0].real, pts[0].imag), (pts[1].real, pts[1].imag), 1.0)
         assert side == pytest.approx(1.0, rel=1e-12)
         assert angle_defect_oracle(pts) == pytest.approx(EQUILATERAL_HYP_AREA, rel=1e-12)
-        assert hd.triangle_area(1, 1, 1, 1.0) == pytest.approx(EQUILATERAL_HYP_AREA, rel=1e-12)
-
-    def test_violated_inequality(self):
-        with pytest.raises(DomainError):
-            hd.triangle_area(1, 1, 2.5, 0.0)
-        with pytest.raises(DomainError):
-            hd.triangle_area(0.0, 1, 1, 1.0)
+        assert _triangle_areas_hyperbolic(1, 1, 1, 1.0) == pytest.approx(EQUILATERAL_HYP_AREA, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -147,8 +147,8 @@ class TestTriangleArea:
         l3 = lo + frac * (hi - lo)
         if l3 <= 1e-7:
             return
-        flat = hd.triangle_area(l1, l2, l3, 0.0)
-        hyp = hd.triangle_area(l1, l2, l3, 1.0)
+        flat = heron_area(l1, l2, l3)
+        hyp = _triangle_areas_hyperbolic(l1, l2, l3, 1.0)
         if flat > 1e-12:
             assert hyp == pytest.approx(flat, rel=1e-5)
 
@@ -180,7 +180,7 @@ class TestBallMesh:
     def test_edge_lengths_in_band(self, discretize):
         for (a, rho, h) in [(0.0, 1.0, 0.2), (1.0, 1.0, 0.2), (1.0, 2.0, 0.1)]:
             mesh = discretize(a, rho, h).mesh
-            _, lengths = mesh_edge_lengths(mesh)
+            _, lengths = edge_lengths(mesh.vertices, mesh.triangles, a)
             assert lengths.min() >= h / 2 * (1 - 1e-9)
             assert lengths.max() <= 2 * h * (1 + 1e-9)
 
@@ -231,16 +231,17 @@ class TestFlipPass:
         assert io.legacy_mesh_checksum(mesh) == PINNED_MESHES[params]
         assert io.mesh_checksum(mesh) == PINNED_MESHES_V2[params]
         _, face_edges, counts = edge_table(mesh.triangles, mesh.num_vertices)
-        _, lengths = mesh_edge_lengths(mesh)
+        _, lengths = edge_lengths(mesh.vertices, mesh.triangles, mesh.curvature)
         sums = geometry._cot_sums(lengths, face_edges)
         assert sums[counts == 2].min() >= -1e-12
 
     def test_raw_stitching_is_not_delaunay(self, monkeypatch):
         # without the flip pass the pinned meshes do have negative cotangent sums
-        monkeypatch.setattr(geometry, "_flip_to_intrinsic_delaunay", lambda v, t, a: t)
+        monkeypatch.setattr(geometry, "_flip_to_intrinsic_delaunay",
+                            lambda v, t, a: (t, edge_lengths(v, t, a)[1]))
         mesh = hd.ball_mesh(2.0, 2.0, 0.1)
         _, face_edges, counts = edge_table(mesh.triangles, mesh.num_vertices)
-        sums = geometry._cot_sums(mesh_edge_lengths(mesh)[1], face_edges)
+        sums = geometry._cot_sums(edge_lengths(mesh.vertices, mesh.triangles, 2.0)[1], face_edges)
         assert sums[counts == 2].min() < -1e-12
 
     def test_non_delaunay_edges_sharing_a_face_flip_in_turn(self):
@@ -257,8 +258,22 @@ class TestFlipPass:
         lengths = geometry.pairwise_distances(vertices[edges[:, 0]], vertices[edges[:, 1]], 0.0)
         sums = geometry._cot_sums(lengths, face_edges)
         assert {tuple(x) for x in edges[sums < -1e-12]} == {(0, 1), (1, 2)}
-        np.testing.assert_array_equal(geometry._flip_to_intrinsic_delaunay(vertices, tris, 0.0),
-                                      [[0, 3, 2], [1, 4, 3], [2, 3, 4]])
+        flipped, flipped_lengths = geometry._flip_to_intrinsic_delaunay(vertices, tris, 0.0)
+        np.testing.assert_array_equal(flipped, [[0, 3, 2], [1, 4, 3], [2, 3, 4]])
+        # one length per edge slot, the new diagonal in the removed edge's slot
+        np.testing.assert_array_equal(np.sort(flipped_lengths), np.sort(edge_lengths(vertices, flipped, 0.0)[1]))
+
+    def test_one_edge_table_per_mesh(self, monkeypatch):
+        # the audit checks the flip pass's lengths instead of building a second table
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return edge_table(*args)
+
+        monkeypatch.setattr(geometry, "edge_table", counted)
+        hd.ball_mesh(1.0, 1.2, 0.15)
+        assert len(calls) == 1
 
     def test_edge_table_matches_axis_unique_reference(self, discretize):
         mesh = discretize(1.0, 1.0, 0.2).mesh
@@ -427,9 +442,9 @@ class TestCutoff:
 
     def test_per_edge_slope_bound(self, discretize):
         # discrete form of the gradient bound |grad phi_R| <= 2/R, h <= R/10
-        disc = discretize(1.0, 3.0, 0.1)
-        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
+        mesh = discretize(1.0, 3.0, 0.1).mesh
+        edges, lengths = edge_lengths(mesh.vertices, mesh.triangles, mesh.curvature)
         for R in (1.2, 1.5):
             phi = hd.cutoff_cochain(mesh, R).values
-            slopes = np.abs(phi[cx.edges[:, 1]] - phi[cx.edges[:, 0]]) / stars.edge_lengths
+            slopes = np.abs(phi[edges[:, 1]] - phi[edges[:, 0]]) / lengths
             assert slopes.max() <= 2.0 / R + 1e-12

@@ -11,6 +11,20 @@ from hodgedec.hodge import _optimality_terms
 from hodgedec.simplicial import Cochain
 
 
+# factors that make the squared norms of a unit-size input underflow; a power
+# of two scales without rounding
+TINY = pytest.mark.parametrize("factor", [2.0**-600, 1e-160, 1e-170], ids=["2**-600", "1e-160", "1e-170"])
+
+
+def assert_scaled(got, want, factor):
+    """got == want * factor: bitwise for a power of two, else within rtol 1e-12."""
+    want = np.asarray(want) * factor
+    if factor == 2.0**-600:
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert np.abs(np.asarray(got) - want).max() <= 1e-12 * np.abs(want).max()
+
+
 def interior_potentials(cx, rng):
     beta = Cochain(0, np.where(cx.interior_vertices, rng.standard_normal(cx.num_vertices), 0.0))
     omega = Cochain(2, np.where(cx.interior_faces, rng.standard_normal(cx.num_faces), 0.0))
@@ -168,23 +182,17 @@ class TestDecompose:
         assert np.sqrt(dec.interior_inner(d_gamma, d_gamma, cx, stars)) <= 1e-6 * scale
         assert np.sqrt(dec.interior_inner(s_gamma, s_gamma, cx, stars)) <= 1e-6 * scale
 
-    @pytest.mark.parametrize("factor", [2.0**-600, 1e-160, 1e-170], ids=["2**-600", "1e-160", "1e-170"])
+    @TINY
     def test_tiny_input_splits_as_the_input_times_its_factor(self, discretize, factor):
         # unscaled, the norms and conjugate-gradient products of these inputs underflow
         disc = discretize(1.0, 1.5, 0.3)
         alpha = builtin_form("mixed", disc.mesh, disc.cx, disc.stars, seed=1)
         base = hd.decompose(alpha, "h1", disc)
         split = hd.decompose(Cochain(1, alpha.values * factor), "h1", disc)
-        exact = factor == 2.0**-600  # a power of two scales without rounding
         for part in ("beta", "omega", "gamma"):
-            got, want = getattr(split, part).values, getattr(base, part).values * factor
-            if exact:
-                np.testing.assert_array_equal(got, want)
-            else:
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert_scaled(getattr(split, part).values, getattr(base, part).values, factor)
         for key in ("norm_alpha", "norm_exact", "norm_coexact", "norm_gamma"):
-            want = base.diagnostics[key] * factor
-            assert split.diagnostics[key] == (want if exact else pytest.approx(want, rel=1e-12))
+            assert_scaled(split.diagnostics[key], base.diagnostics[key], factor)
 
     def test_degenerate_mesh_rejected(self):
         disc = hd.Discretization(hd.ball_mesh(0.0, 0.1, 0.1))  # single ring: no interior faces
@@ -204,6 +212,22 @@ class TestDecompose:
 
 
 class TestHarmonicDiagnostics:
+    @TINY
+    def test_tiny_input_diagnoses_as_the_input(self, discretize, factor):
+        # unscaled, |gamma|^2 underflows, so the residuals read 0 or the ratio None
+        disc = discretize(1.0, 1.5, 0.3)
+        alpha = builtin_form("mixed", disc.mesh, disc.cx, disc.stars, seed=1)
+        gamma = hd.decompose(alpha, "h1", disc).gamma
+        base = hd.harmonic_diagnostics(gamma, disc)
+        rep = hd.harmonic_diagnostics(Cochain(1, gamma.values * factor), disc)
+        for key in ("bound_ratio", "d_residual", "delta_residual"):
+            if factor == 2.0**-600:
+                assert rep[key] == base[key]
+            else:  # d gamma and delta gamma are 1e-9 of gamma, so rounding gamma * factor shows
+                assert rep[key] == pytest.approx(base[key], rel=1e-5)
+        if factor == 2.0**-600:
+            assert rep["energy"] == np.ldexp(base["energy"], -1200)
+
     def test_zero_input_degenerate(self, discretize):
         disc = discretize(1.0, 1.0, 0.2)
         rep = hd.harmonic_diagnostics(Cochain(1, np.zeros(disc.cx.num_edges)), disc)
@@ -259,6 +283,22 @@ class TestHarmonicDiagnostics:
 
 
 class TestStreamFunction:
+    @TINY
+    def test_tiny_input_streams_as_the_input_times_its_factor(self, discretize, factor):
+        # unscaled, |v| underflows to 0 or the residual to a false 0
+        disc = discretize(1.0, 1.5, 0.3)
+        v = builtin_form("coexact", disc.mesh, disc.cx, disc.stars, seed=2)
+        base = hd.stream_function(v, disc)
+        res = hd.stream_function(Cochain(1, v.values * factor), disc)
+        assert_scaled(res.f, base.f, factor)
+        assert_scaled(res.omega.values, base.omega.values, factor)
+        for key in ("residual", "path_defect"):
+            got, want = getattr(res, key), getattr(base, key)
+            if factor == 2.0**-600:
+                assert got == want
+            else:  # round-off figures: the rounding of v * factor moves them by up to 66 %
+                assert want / 4 <= got <= 4 * want
+
     def test_zero_input(self, discretize):
         disc = discretize(1.0, 1.0, 0.2)
         cx = disc.cx
@@ -290,7 +330,7 @@ class TestStreamFunction:
     def test_not_coclosed_names_vertex(self, discretize):
         disc = discretize(0.0, 1.0, 0.2)
         mesh, cx = disc.mesh, disc.cx
-        bad = hd.interior_restriction(hd.apply_d(Cochain(0, mesh.vertices[:, 0]), cx), cx)
+        bad = Cochain(1, np.where(cx.interior_edges, hd.apply_d(Cochain(0, mesh.vertices[:, 0]), cx).values, 0.0))
         with pytest.raises(PreconditionError, match="vertex"):
             hd.stream_function(bad, disc)
 
@@ -413,6 +453,16 @@ class TestRunParameters:
 
 
 class TestTruncation:
+    @TINY
+    def test_tiny_input_truncates_as_the_input_times_its_factor(self, discretize, factor):
+        # unscaled, the squared norms underflow: 1.4 % low at 1e-160, 0 at 2**-600
+        disc = discretize(1.0, 3.0, 0.3)
+        dx = coordinate_form(disc.mesh, disc.cx)
+        for space in ("l2", "h1"):
+            base = hd.truncation_distance(dx, 1.2, space, disc)
+            got = hd.truncation_distance(Cochain(1, dx.values * factor), 1.2, space, disc)
+            assert_scaled(got, base, factor)
+
     def test_zero_gamma(self, discretize):
         disc = discretize(1.0, 3.0, 0.2)
         cx = disc.cx

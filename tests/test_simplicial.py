@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import hodgedec as hd
 from hodgedec.errors import DegreeError, TopologyError
+from hodgedec.geometry import edge_table
 from hodgedec.simplicial import Cochain, _check_boundary_cycle, _components
 
 from conftest import (
@@ -38,13 +39,14 @@ class TestBuildComplex:
     def test_boundary_is_cycle(self, discretize):
         disc = discretize(0.0, 0.2, 0.1)
         cx = disc.cx
-        assert cx.boundary_edges.sum() == cx.boundary_vertices.sum()
+        counts = edge_table(cx.faces, cx.num_vertices)[2]
+        assert np.count_nonzero(counts == 1) == np.count_nonzero(~cx.interior_vertices)
 
     def test_orientation_coherence(self, discretize):
         # interior edges see their two faces with opposite induced orientations
         cx = discretize(1.0, 1.0, 0.2).cx
         col_sums = np.asarray(cx.d1.sum(axis=0)).ravel()
-        interior = ~cx.boundary_edges
+        interior = edge_table(cx.faces, cx.num_vertices)[2] == 2
         assert np.all(col_sums[interior] == 0)
         assert np.all(np.abs(col_sums[~interior]) == 1)
 
@@ -217,22 +219,13 @@ class TestApplyD:
 
 
 class TestInteriorRestriction:
-    def test_idempotent(self, discretize, rng):
-        cx = discretize(1.0, 1.0, 0.2).cx
-        c = Cochain(1, rng.standard_normal(cx.num_edges))
-        once = hd.interior_restriction(c, cx)
-        twice = hd.interior_restriction(once, cx)
-        np.testing.assert_array_equal(once.values, twice.values)
-
     def test_single_triangle_all_boundary(self):
         cx = hd.build_complex(make_triangle_mesh())
-        out = hd.interior_restriction(Cochain(0, np.ones(3)), cx)
-        assert np.all(out.values == 0.0)
+        assert not cx.interior_vertices.any()
 
     def test_two_ring_faces_against_enumeration(self, discretize):
         disc = discretize(0.0, 0.2, 0.1)
         mesh, cx = disc.mesh, disc.cx
-        out = hd.interior_restriction(Cochain(2, np.ones(cx.num_faces)), cx)
         # oracle: enumerate boundary vertices straight from the triangle list
         bnd = set()
         edge_count = {}
@@ -242,21 +235,12 @@ class TestInteriorRestriction:
         for e, n in edge_count.items():
             if n == 1:
                 bnd |= set(e)
-        expected = np.array(
-            [0.0 if (set(tri) & bnd) else 1.0 for tri in map(tuple, mesh.triangles)]
-        )
-        np.testing.assert_array_equal(out.values, expected)
-        assert expected.sum() > 0  # the 2-ring mesh does have interior faces
-
-    def test_keeps_interior_values(self, discretize, rng):
-        cx = discretize(1.0, 1.0, 0.2).cx
-        c = Cochain(1, rng.standard_normal(cx.num_edges))
-        out = hd.interior_restriction(c, cx)
-        np.testing.assert_array_equal(out.values[cx.interior_edges], c.values[cx.interior_edges])
-        assert np.all(out.values[~cx.interior_edges] == 0.0)
+        expected = np.array([not (set(tri) & bnd) for tri in map(tuple, mesh.triangles)])
+        np.testing.assert_array_equal(cx.interior_faces, expected)
+        assert expected.any()  # the 2-ring mesh does have interior faces
 
 
 def test_rhombus_complex_shape():
     cx = hd.build_complex(make_rhombus_mesh())
     assert (cx.num_vertices, cx.num_edges, cx.num_faces) == (4, 5, 2)
-    assert cx.boundary_edges.sum() == 4
+    assert np.count_nonzero(edge_table(cx.faces, cx.num_vertices)[2] == 1) == 4
