@@ -7,9 +7,10 @@ exact rational arithmetic.
 """
 
 from .dec import (
-    StarWeights,
+    Discretization,
     assemble_stars,
     codifferential,
+    discretize,
     inner,
     norm,
     solve_spd,
@@ -35,7 +36,6 @@ from .geometry import (
     radial_distance,
 )
 from .hodge import (
-    Discretization,
     HodgeSplit,
     StreamResult,
     decompose,

@@ -15,10 +15,9 @@ import sys
 import time
 from pathlib import Path
 
-from . import forms, hodge, io, weitzenbock
+from . import dec, forms, hodge, io, weitzenbock
 from .errors import ConfigError, ConvergenceError
 from .geometry import ball_mesh, ball_ring_sizes, check_cutoff_scales
-from .hodge import Discretization
 
 
 class _UsageError(Exception):
@@ -93,16 +92,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_form(name: str, disc: Discretization, seed: int):
+def _load_form(name: str, disc: dec.Discretization, seed: int, checksum: str | None = None):
     """A builtin form, or a cochain file checked against the mesh's checksum
-    (or its legacy checksum, for a file written before the array digest)."""
+    (or its legacy checksum, for a file written before the array digest),
+    hashed here when the caller has not."""
     if name.startswith("builtin:"):
-        return forms.builtin_form(name.split(":", 1)[1], disc.mesh, disc.cx, disc.stars, seed=seed)
-    return io.load_cochain(name, disc.checksum, disc.mesh)
+        return forms.builtin_form(name.split(":", 1)[1], disc.mesh, disc.cx, disc, seed=seed)
+    return io.load_cochain(name, checksum or io.mesh_checksum(disc.mesh), disc.mesh)
 
 
-def _base_report(args, disc: Discretization) -> dict:
-    return {"command": " ".join(args._echo), "mesh_checksum": disc.checksum}
+def _base_report(args, checksum: str) -> dict:
+    return {"command": " ".join(args._echo), "mesh_checksum": checksum}
 
 
 def _finish(report: dict, args, t0: float, out):
@@ -121,14 +121,15 @@ def _cmd_mesh(args) -> int:
 
 def _cmd_decompose(args) -> int:
     t0 = time.time()
-    disc = Discretization(io.load_mesh(args.mesh))
-    alpha = _load_form(args.form, disc, args.seed)
+    disc = dec.discretize(io.load_mesh(args.mesh))
+    checksum = io.mesh_checksum(disc.mesh)
+    alpha = _load_form(args.form, disc, args.seed, checksum)
     split = hodge.decompose(alpha, args.space, disc, tol=args.tol)
-    report = _base_report(args, disc)
+    report = _base_report(args, checksum)
     report.update(
         {
             "space": args.space,
-            "star_clamp_count": disc.stars.clamp_count,
+            "star_clamp_count": disc.clamp_count,
             "beta": split.beta.values.tolist(),
             "omega": split.omega.values.tolist(),
             "gamma": split.gamma.values.tolist(),
@@ -148,10 +149,11 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_stream(args) -> int:
     t0 = time.time()
-    disc = Discretization(io.load_mesh(args.mesh))
-    v = _load_form(args.form, disc, args.seed)
+    disc = dec.discretize(io.load_mesh(args.mesh))
+    checksum = io.mesh_checksum(disc.mesh)
+    v = _load_form(args.form, disc, args.seed, checksum)
     result = hodge.stream_function(v, disc, tol=args.tol)
-    report = _base_report(args, disc)
+    report = _base_report(args, checksum)
     report.update(
         {
             "f": result.f.tolist(),
@@ -197,7 +199,7 @@ def _cmd_convergence(args) -> int:
     ]
     for level in range(args.levels):
         h = math.ldexp(args.edge, -level)
-        disc = Discretization(ball_mesh(args.curvature, args.radius, h))
+        disc = dec.discretize(ball_mesh(args.curvature, args.radius, h))
         alpha = _load_form(args.form, disc, args.seed)
         # closedness of the level's input form: the sampling-consistency trend
         inp = hodge.harmonic_diagnostics(alpha, disc)
@@ -232,14 +234,15 @@ def _cmd_truncate(args) -> int:
     check_cutoff_scales(radii)
     mesh = io.load_mesh(args.mesh) if args.mesh else ball_mesh(args.curvature, args.radius, args.edge)
     check_cutoff_scales(radii, mesh)
-    disc = Discretization(mesh)
-    gamma = _load_form(args.form, disc, args.seed)
+    disc = dec.discretize(mesh)
+    checksum = io.mesh_checksum(mesh)
+    gamma = _load_form(args.form, disc, args.seed, checksum)
     tbl = []
     for R in radii:
         dist = hodge.truncation_distance(gamma, R, args.space, disc)
         tbl.append({"R": R, "distance": dist})
         print(f"R={R}: |gamma - phi_R gamma| = {dist:.6g}")
-    report = _base_report(args, disc)
+    report = _base_report(args, checksum)
     report.update({"space": args.space, "distances": tbl})
     _finish(report, args, t0, args.out)
     return 0

@@ -1,5 +1,6 @@
-"""Metric structure on the complex: Hodge stars, codifferential, inner products,
-and the conjugate-gradient solver backing the decompositions.
+"""Metric structure on the complex: the discretization (a mesh with its complex
+and Hodge stars), codifferential, inner products, and the conjugate-gradient
+solver backing the decompositions.
 
 Star weights come from the intrinsic (secant) treatment of curved triangles:
 each face is replaced by the Euclidean triangle with the same geodesic edge
@@ -21,14 +22,15 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, ConvergenceError, DegreeError, MeshQualityError
 from .geometry import TriMesh, corner_cosines, heron_area, pairwise_distances
-from .simplicial import Cochain, SimplicialComplex, apply_d
+from .simplicial import Cochain, SimplicialComplex, apply_d, build_complex
 
 __all__ = [
-    "StarWeights",
+    "Discretization",
     "SolveResult",
     "assemble_stars",
     "codifferential",
     "curvature_constant",
+    "discretize",
     "inner",
     "interior_inner",
     "norm",
@@ -52,21 +54,27 @@ def curvature_constant(a: float, k: int) -> float:
     return a**2 * k * (SURFACE_DIM - k)
 
 
-@dataclass(frozen=True)
-class StarWeights:
-    """Positive diagonal Hodge-star weights; the discrete carrier of the metric.
+@dataclass(frozen=True, eq=False)
+class Discretization:
+    """A mesh with its complex and its positive diagonal Hodge stars, the
+    discrete carrier of the metric.
 
     star0: dual (mixed Voronoi) areas per vertex
     star1: dual/primal length ratios per edge (half cotangent sums)
     star2: inverse intrinsic face areas
     """
 
+    mesh: TriMesh
+    cx: SimplicialComplex
     star0: np.ndarray
     star1: np.ndarray
     star2: np.ndarray
-    curvature: float
     face_areas: np.ndarray
     clamp_count: int
+
+    @property
+    def curvature(self) -> float:
+        return self.mesh.curvature
 
 
 @dataclass
@@ -77,13 +85,16 @@ class SolveResult:
     levels: int  # coarse multigrid levels of the preconditioner; 0 means Jacobi
 
 
-def assemble_stars(mesh: TriMesh, cx: SimplicialComplex) -> StarWeights:
-    """Diagonal Hodge stars via intrinsic cotangents and mixed Voronoi areas.
+def assemble_stars(mesh: TriMesh, cx: SimplicialComplex) -> Discretization:
+    """The discretization of `mesh` on its complex `cx`: diagonal Hodge stars
+    via intrinsic cotangents and mixed Voronoi areas.
 
     Obtuse triangles fall back to the half/quarter area split (the clamp);
-    the number of clamped faces is reported. Any non-positive weight rejects
-    the mesh.
+    the number of clamped faces is reported. A complex whose faces or vertex
+    count are not the mesh's, or any non-positive weight, rejects the mesh.
     """
+    if cx.num_vertices != mesh.num_vertices or not np.array_equal(cx.faces, mesh.triangles):
+        raise ConfigError("the complex is not the mesh's: its faces or vertex count differ")
     lengths = pairwise_distances(
         mesh.vertices[cx.edges[:, 0]], mesh.vertices[cx.edges[:, 1]], mesh.curvature
     )
@@ -118,22 +129,29 @@ def assemble_stars(mesh: TriMesh, cx: SimplicialComplex) -> StarWeights:
     star2 = 1.0 / areas
     if np.any(star0 <= 0.0) or np.any(star1 <= 0.0) or np.any(star2 <= 0.0):
         raise MeshQualityError("non-positive Hodge star weight; mesh rejected")
-    return StarWeights(
+    return Discretization(
+        mesh=mesh,
+        cx=cx,
         star0=star0,
         star1=star1,
         star2=star2,
-        curvature=mesh.curvature,
         face_areas=areas,
         clamp_count=int(np.count_nonzero(clamped)),
     )
 
 
-def codifferential(c: Cochain, cx: SimplicialComplex, stars: StarWeights) -> Cochain:
+def discretize(mesh: TriMesh) -> Discretization:
+    """The mesh with its complex and stars, built from the mesh alone."""
+    # called through module-level names, so a wrapper or test double bound there is reached
+    return assemble_stars(mesh, build_complex(mesh))
+
+
+def codifferential(c: Cochain, disc: Discretization) -> Cochain:
     """Discrete codifferential, adjoint to d in the L2 pairing."""
     if c.degree == 1:
-        return Cochain(0, (cx.d0.T @ (stars.star1 * c.values)) / stars.star0)
+        return Cochain(0, (disc.cx.d0.T @ (disc.star1 * c.values)) / disc.star0)
     if c.degree == 2:
-        return Cochain(1, (cx.d1.T @ (stars.star2 * c.values)) / stars.star1)
+        return Cochain(1, (disc.cx.d1.T @ (disc.star2 * c.values)) / disc.star1)
     raise DegreeError("codifferential needs degree 1 or 2 (no (-1)-forms)")
 
 
@@ -141,29 +159,23 @@ def _l2(u: np.ndarray, v: np.ndarray, w: np.ndarray) -> float:
     return float(np.dot(u, w * v))
 
 
-def interior_inner(u: Cochain, v: Cochain, cx: SimplicialComplex, stars: StarWeights) -> float:
+def interior_inner(u: Cochain, v: Cochain, disc: Discretization) -> float:
     """(u, v) weighted by star_k and summed over the interior simplices of degree k.
 
     Interior simplices touch no boundary vertex, so this pairing tests against
     compact supports (discrete weak derivatives).
     """
-    k = u.degree
+    k, cx = u.degree, disc.cx
     interior = (cx.interior_vertices, cx.interior_edges, cx.interior_faces)[k]
-    return _l2(u.values, v.values, (stars.star0, stars.star1, stars.star2)[k] * interior)
+    return _l2(u.values, v.values, (disc.star0, disc.star1, disc.star2)[k] * interior)
 
 
-def inner(
-    u: Cochain,
-    v: Cochain,
-    space: str,
-    cx: SimplicialComplex,
-    stars: StarWeights,
-) -> float:
+def inner(u: Cochain, v: Cochain, space: str, disc: Discretization) -> float:
     """L2 or H1 inner product of two cochains of one degree k.
 
     `space` is "l2" or "h1". The H1 pairing is (1 + c) (u, v) + (du, dv) +
     (delta u, delta v) with c = curvature_constant(a, k) and a the curvature
-    carried by the stars; this is the polarization of the norm identity
+    carried by the mesh; this is the polarization of the norm identity
     |grad u|^2 = |du|^2 + |d* u|^2 + c |u|^2 that holds on a space form of
     curvature -a^2. The derivative terms are summed over interior simplices
     only (testing against compact supports): the underlying space has no
@@ -175,22 +187,22 @@ def inner(
     if u.degree != v.degree:
         raise DegreeError(f"degree mismatch: u={u.degree}, v={v.degree}")
     k = u.degree
-    base = _l2(u.values, v.values, (stars.star0, stars.star1, stars.star2)[k])
+    base = _l2(u.values, v.values, (disc.star0, disc.star1, disc.star2)[k])
     if space == "l2":
         return base
-    total = (1.0 + curvature_constant(stars.curvature, k)) * base
+    total = (1.0 + curvature_constant(disc.curvature, k)) * base
     # a norm pairs u with itself: each derivative is taken once
     if k < 2:
-        du = apply_d(u, cx)
-        total += interior_inner(du, du if v is u else apply_d(v, cx), cx, stars)
+        du = apply_d(u, disc.cx)
+        total += interior_inner(du, du if v is u else apply_d(v, disc.cx), disc)
     if k > 0:
-        su = codifferential(u, cx, stars)
-        total += interior_inner(su, su if v is u else codifferential(v, cx, stars), cx, stars)
+        su = codifferential(u, disc)
+        total += interior_inner(su, su if v is u else codifferential(v, disc), disc)
     return total
 
 
-def norm(u: Cochain, space: str, cx: SimplicialComplex, stars: StarWeights) -> float:
-    return math.sqrt(max(inner(u, u, space, cx, stars), 0.0))
+def norm(u: Cochain, space: str, disc: Discretization) -> float:
+    return math.sqrt(max(inner(u, u, space, disc), 0.0))
 
 
 def _not_positive(value: float) -> bool:
@@ -355,7 +367,9 @@ def solve_spd(
     (or at the absolute residual_floor, whichever is larger; callers use the
     floor when b itself is the result of heavy cancellation, and a b that
     x = 0 already meets builds no hierarchy); tol must lie in (0, 1) and |b|
-    must be finite. Deterministic: fixed iteration order, serial reductions.
+    must be finite. Deterministic for a fixed BLAS thread count: the
+    iteration order is fixed, but the dot products and norms are BLAS
+    reductions whose summation order may follow the thread count.
     Raises ConvergenceError (carrying the final relative residual and the
     iteration count) when MAX_CG_ITERATIONS are exhausted, when the true
     residual misses the tolerance, or on breakdown: a curvature p.Ap or a

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import dec
-from .dec import StarWeights
 from .errors import ConfigError
 from .geometry import TriMesh
 from .simplicial import Cochain, SimplicialComplex, apply_d
@@ -40,7 +39,7 @@ def _adjacency_smooth(values, adjacency, keep, sweeps=8):
     return out
 
 
-def _random_interior_potentials(cx, stars, seed):
+def _random_interior_potentials(cx, seed):
     """Seeded noise on interior vertices/faces, smoothed to resolvable scale."""
     rng = np.random.default_rng(seed)
     beta = np.where(cx.interior_vertices, rng.standard_normal(cx.num_vertices), 0.0)
@@ -59,24 +58,25 @@ def builtin_form(
     name: str,
     mesh: TriMesh,
     cx: SimplicialComplex,
-    stars: StarWeights,
+    disc: dec.Discretization,
     seed: int = 0,
 ) -> Cochain:
-    """Construct one of the built-in 1-forms; deterministic given the seed."""
+    """Construct one of the built-in 1-forms on `disc`, whose mesh and complex
+    are `mesh` and `cx`; deterministic given the seed."""
     if name not in BUILTIN_FORMS:
         raise ConfigError(f"unknown builtin form {name!r}; choose from {BUILTIN_FORMS}")
     if name == "dx":
         return coordinate_form(mesh, cx)
-    beta0, omega0 = _random_interior_potentials(cx, stars, seed)
+    beta0, omega0 = _random_interior_potentials(cx, seed)
     if name == "exact":
         return apply_d(beta0, cx)
     if name == "coexact":
-        return dec.codifferential(omega0, cx, stars)
+        return dec.codifferential(omega0, disc)
     total = np.zeros(cx.num_edges)
     for part in (
         coordinate_form(mesh, cx),
         apply_d(beta0, cx),
-        dec.codifferential(omega0, cx, stars),
+        dec.codifferential(omega0, disc),
     ):
-        total += part.values / dec.norm(part, "l2", cx, stars)
+        total += part.values / dec.norm(part, "l2", disc)
     return Cochain(1, total)

@@ -1,8 +1,8 @@
 """Three-way splits of 1-cochains, harmonicity diagnostics, stream functions,
 and the cutoff truncation experiment.
 
-All of them act on one `Discretization`, which ties the complex and stars to
-their mesh. `decompose` minimizes |alpha - d beta - delta omega| in L2 over
+All of them act on one `dec.Discretization`, which ties the complex and stars
+to their mesh. `decompose` minimizes |alpha - d beta - delta omega| in L2 over
 potentials supported away from the boundary collar; with such potentials the
 L2 and H1 minimizers coincide, and the remainder gamma is the discrete harmonic
 part. `stream_function` constructively realizes co-closed fields as delta of an
@@ -12,20 +12,18 @@ interior 2-cochain by integrating over a dual spanning tree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import dec, io
-from .dec import StarWeights
+from . import dec
+from .dec import Discretization
 from .errors import ConfigError, DegreeError, PreconditionError
-from .geometry import TriMesh, check_cutoff_scales, cutoff_cochain, edge_faces
-from .simplicial import Cochain, SimplicialComplex, apply_d, build_complex
+from .geometry import check_cutoff_scales, cutoff_cochain, edge_faces
+from .simplicial import Cochain, apply_d
 
 __all__ = [
-    "Discretization",
     "HodgeSplit",
     "StreamResult",
     "decompose",
@@ -33,42 +31,6 @@ __all__ = [
     "stream_function",
     "truncation_distance",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class Discretization:
-    """A mesh with its complex and Hodge stars, built once from the mesh alone.
-
-    The checksum and the interior potential maps are built on first use, so a
-    run that never needs them never pays for them.
-    """
-
-    mesh: TriMesh
-    cx: SimplicialComplex = field(init=False)
-    stars: StarWeights = field(init=False)
-
-    def __post_init__(self):
-        # called through module-level names, so a wrapper or test double bound there is reached
-        object.__setattr__(self, "cx", build_complex(self.mesh))
-        object.__setattr__(self, "stars", dec.assemble_stars(self.mesh, self.cx))
-
-    @cached_property
-    def checksum(self) -> str:
-        return io.mesh_checksum(self.mesh)
-
-    @cached_property
-    def potential_maps(self):
-        """Interior vertex and face indices vi, fi with P = d0[:, vi], Q = delta_2[:, fi]."""
-        cx, stars = self.cx, self.stars
-        vi = np.flatnonzero(cx.interior_vertices)
-        fi = np.flatnonzero(cx.interior_faces)
-        if vi.size == 0 or fi.size == 0:
-            raise ConfigError("degenerate mesh: no interior vertices or faces to carry potentials")
-        P = cx.d0.tocsc()[:, vi].tocsr()
-        # delta_2 = star1^-1 d1^T star2, the sign fixed by adjointness
-        delta2 = sp.diags(1.0 / stars.star1) @ cx.d1.T @ sp.diags(stars.star2)
-        Q = delta2.tocsc()[:, fi].tocsr()
-        return vi, fi, P, Q
 
 
 @dataclass
@@ -111,11 +73,25 @@ def _check_edge_values(c: Cochain, disc: Discretization, what: str, space: str =
         raise ConfigError(f"{what} needs finite cochain values")
     e = int(np.frexp(np.abs(c.values).max(initial=0.0))[1])
     c = Cochain(1, np.ldexp(c.values, -e))
-    sq = dec.inner(c, c, space, cx, disc.stars)  # also rejects an unknown space
+    sq = dec.inner(c, c, space, disc)  # also rejects an unknown space
     with np.errstate(over="ignore"):
         if not np.isfinite(np.ldexp(sq, 2 * e)):
             raise ConfigError(f"{what}: the squared {space} norm is not finite; rescale the input")
     return c, e, sq
+
+
+def _potential_maps(disc: Discretization):
+    """Interior vertex and face indices vi, fi with P = d0[:, vi], Q = delta_2[:, fi]."""
+    cx = disc.cx
+    vi = np.flatnonzero(cx.interior_vertices)
+    fi = np.flatnonzero(cx.interior_faces)
+    if vi.size == 0 or fi.size == 0:
+        raise ConfigError("degenerate mesh: no interior vertices or faces to carry potentials")
+    P = cx.d0.tocsc()[:, vi].tocsr()
+    # delta_2 = star1^-1 d1^T star2, the sign fixed by adjointness
+    delta2 = sp.diags(1.0 / disc.star1) @ cx.d1.T @ sp.diags(disc.star2)
+    Q = delta2.tocsc()[:, fi].tocsr()
+    return vi, fi, P, Q
 
 
 def _optimality_terms(x: np.ndarray, P, Q, star1: np.ndarray) -> np.ndarray:
@@ -161,19 +137,19 @@ def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-
     block holds, for "vertex" and "face": size, nnz, levels (0 = Jacobi),
     iterations and residual.
     """
-    cx, stars = disc.cx, disc.stars
+    cx = disc.cx
     # the split of alpha * 2**-e, scaled back by 2**e
     alpha, e, sq = _check_edge_values(alpha, disc, "decompose", space)
     norm_alpha = math.sqrt(max(sq, 0.0))
 
-    vi, fi, P, Q = disc.potential_maps
-    s1 = sp.diags(stars.star1).tocsr()
+    vi, fi, P, Q = _potential_maps(disc)
+    s1 = sp.diags(disc.star1).tocsr()
     s1_alpha = s1 @ alpha.values
 
     # the right-hand sides can be tiny relative to their ingredients, and a
     # purely rhs-relative stop would then demand sub-roundoff accuracy
     scales = np.maximum(
-        _optimality_terms(np.abs(alpha.values), abs(P), abs(Q), stars.star1), np.finfo(float).tiny
+        _optimality_terms(np.abs(alpha.values), abs(P), abs(Q), disc.star1), np.finfo(float).tiny
     )
     floors = 100.0 * np.finfo(float).eps * scales
     x_b, stats_b = _solve_block(P, s1, s1_alpha, tol, floors[0])
@@ -187,10 +163,8 @@ def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-
     delta_omega = Cochain(1, Q @ x_w)
     gamma = Cochain(1, alpha.values - d_beta.values - delta_omega.values)
 
-    norms_sq = [
-        dec.inner(w, w, space, cx, stars) for w in (d_beta, delta_omega, gamma)
-    ]
-    ortho = [dec.inner(w, gamma, space, cx, stars) for w in (d_beta, delta_omega)]
+    norms_sq = [dec.inner(w, w, space, disc) for w in (d_beta, delta_omega, gamma)]
+    ortho = [dec.inner(w, gamma, space, disc) for w in (d_beta, delta_omega)]
     alpha_sq = max(norm_alpha**2, np.finfo(float).tiny)
     diagnostics = {
         "norm_alpha": float(np.ldexp(norm_alpha, e)),
@@ -198,7 +172,7 @@ def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-
         "norm_coexact": float(np.ldexp(np.sqrt(max(norms_sq[1], 0.0)), e)),
         "norm_gamma": float(np.ldexp(np.sqrt(max(norms_sq[2], 0.0)), e)),
         "reconstruction_residual": float(
-            np.max(_optimality_terms(gamma.values, P, Q, stars.star1) / scales)
+            np.max(_optimality_terms(gamma.values, P, Q, disc.star1) / scales)
         ),
         "orthogonality": {
             "exact_harmonic": float(np.ldexp(ortho[0], 2 * e)),
@@ -225,33 +199,38 @@ def harmonic_diagnostics(gamma: Cochain, disc: Discretization) -> dict:
     c |gamma|^2, half of the 2 c |gamma|^2 ceiling. `bound_ratio` is the
     energy over that ceiling, None when c = 0; `d_residual` and
     `delta_residual` are |d gamma| / |gamma| and |delta gamma| / |gamma|. A
-    zero cochain gives zeros and no ratio. Closedness is tested on interior
+    zero cochain gives zeros and no ratio; an energy that overflows once
+    scaled back is a ConfigError. Closedness is tested on interior
     simplices (against compact supports), consistent with the H1 pairing.
     """
-    cx, stars = disc.cx, disc.stars
     # the diagnostics of gamma * 2**-e: the energy is scaled back by 2**2e
     gamma, e, norm_sq = _check_edge_values(gamma, disc, "harmonic diagnostics")
-    c = dec.curvature_constant(stars.curvature, 1)
+    c = dec.curvature_constant(disc.curvature, 1)
     if norm_sq == 0.0:
         return {"energy": 0.0, "bound_ratio": None, "d_residual": 0.0, "delta_residual": 0.0}
-    d_gamma = apply_d(gamma, cx)
-    d_sq = dec.interior_inner(d_gamma, d_gamma, cx, stars)
-    s_gamma = dec.codifferential(gamma, cx, stars)
-    s_sq = dec.interior_inner(s_gamma, s_gamma, cx, stars)
+    d_gamma = apply_d(gamma, disc.cx)
+    d_sq = dec.interior_inner(d_gamma, d_gamma, disc)
+    s_gamma = dec.codifferential(gamma, disc)
+    s_sq = dec.interior_inner(s_gamma, s_gamma, disc)
     energy = d_sq + s_sq + c * norm_sq
+    with np.errstate(over="ignore"):
+        scaled_energy = float(np.ldexp(energy, 2 * e))
+    if not math.isfinite(scaled_energy):
+        raise ConfigError("harmonic diagnostics: the energy is not finite; rescale the input")
     return {
-        "energy": float(np.ldexp(energy, 2 * e)),
+        "energy": scaled_energy,
         "bound_ratio": energy / (2.0 * c * norm_sq) if c > 0 else None,
         "d_residual": float(np.sqrt(d_sq / norm_sq)),
         "delta_residual": float(np.sqrt(s_sq / norm_sq)),
     }
 
 
-def _coclosedness_residual(v: Cochain, cx: SimplicialComplex, stars: StarWeights):
+def _coclosedness_residual(v: Cochain, disc: Discretization):
     """Per-vertex relative defect of d0^T (star1 v) against its term magnitude."""
-    w = stars.star1 * v.values
-    resid = cx.d0.T @ w
-    scale = abs(cx.d0).T @ np.abs(w)
+    w = disc.star1 * v.values
+    d0 = disc.cx.d0
+    resid = d0.T @ w
+    scale = abs(d0).T @ np.abs(w)
     return resid, np.abs(resid) / np.maximum(scale, np.finfo(float).tiny)
 
 
@@ -269,7 +248,7 @@ def stream_function(v: Cochain, disc: Discretization, tol: float = 1e-10) -> Str
     """
     if not 0.0 < tol < 1.0:
         raise ConfigError(f"stream tolerance must lie in (0, 1), got {tol!r}")
-    cx, stars = disc.cx, disc.stars
+    cx = disc.cx
     # the stream function of v * 2**-e, scaled back by 2**e
     v, e, v_sq = _check_edge_values(v, disc, "stream function")
     collar = ~cx.interior_edges
@@ -279,7 +258,7 @@ def stream_function(v: Cochain, disc: Discretization, tol: float = 1e-10) -> Str
         return StreamResult(f, Cochain(2, f.copy()), 0.0, 0.0)
     if float(np.abs(v.values[collar]).max(initial=0.0)) > tol * vmax:
         raise PreconditionError("input does not vanish on the boundary collar")
-    resid, rel = _coclosedness_residual(v, cx, stars)
+    resid, rel = _coclosedness_residual(v, disc)
     rel_int = rel[cx.interior_vertices]
     if rel_int.size and float(rel_int.max()) > tol:
         worst_local = int(np.argmax(rel_int))
@@ -294,7 +273,7 @@ def stream_function(v: Cochain, disc: Discretization, tol: float = 1e-10) -> Str
     from scipy.sparse import csgraph
     from scipy.sparse.linalg import spsolve_triangular
 
-    w = stars.star1 * v.values
+    w = disc.star1 * v.values
     # the dual graph links the two faces of every edge that has two
     links = edge_faces(cx.face_edges, cx.num_edges)
     linked = np.flatnonzero(links[:, 1] >= 0)
@@ -315,20 +294,19 @@ def stream_function(v: Cochain, disc: Discretization, tol: float = 1e-10) -> Str
     lower = sp.vstack([root_row, cx.d1.T.tocsr()[rows]], format="csr")[:, order]
     f = np.empty(cx.num_faces)
     f[order] = spsolve_triangular(lower, np.r_[0.0, w[rows]], lower=True)
-    f -= f[root]
 
     closure = cx.d1.T @ f - w
-    defect_scale = max(vmax * float(stars.star1.max()), float(np.abs(f).max()))
+    defect_scale = max(vmax * float(disc.star1.max()), float(np.abs(f).max()))
     path_defect = float(np.abs(closure).max()) / defect_scale
     if path_defect > 100 * tol:
         raise PreconditionError(
             f"path-dependent dual integration: closure defect {path_defect:.3e}"
         )
 
-    omega = Cochain(2, f * stars.face_areas)
-    delta_omega = dec.codifferential(omega, cx, stars)
+    omega = Cochain(2, f * disc.face_areas)
+    delta_omega = dec.codifferential(omega, disc)
     diff = delta_omega.values - v.values
-    res = dec.norm(Cochain(1, diff), "l2", cx, stars) / math.sqrt(v_sq)
+    res = dec.norm(Cochain(1, diff), "l2", disc) / math.sqrt(v_sq)
     return StreamResult(np.ldexp(f, e), Cochain(2, np.ldexp(omega.values, e)), float(res), path_defect)
 
 
@@ -346,4 +324,4 @@ def truncation_distance(gamma: Cochain, R: float, space: str, disc: Discretizati
     phi = cutoff_cochain(disc.mesh, R).values
     edge_factor = 0.5 * (phi[cx.edges[:, 0]] + phi[cx.edges[:, 1]])
     diff = Cochain(1, gamma.values - edge_factor * gamma.values)
-    return float(np.ldexp(dec.norm(diff, space, cx, disc.stars), e))
+    return float(np.ldexp(dec.norm(diff, space, disc), e))

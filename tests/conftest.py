@@ -22,7 +22,7 @@ def discretize():
     def build(a, rho_max, h):
         key = (a, rho_max, h)
         if key not in cache:
-            cache[key] = hd.Discretization(hd.ball_mesh(a, rho_max, h))
+            cache[key] = hd.discretize(hd.ball_mesh(a, rho_max, h))
         return cache[key]
 
     return build

@@ -49,9 +49,9 @@ def dx_levels(discretize):
 @pytest.fixture(scope="module")
 def mixed_run(discretize):
     disc = discretize(1.0, 3.0, 0.1)
-    mesh, cx, stars = disc.mesh, disc.cx, disc.stars
+    mesh, cx = disc.mesh, disc.cx
     space = "h1"
-    alpha = builtin_form("mixed", mesh, cx, stars, seed=7)
+    alpha = builtin_form("mixed", mesh, cx, disc, seed=7)
     split = hd.decompose(alpha, space, disc)
     return disc, alpha, split
 
@@ -80,7 +80,7 @@ def test_criterion_3_adjointness(grid):
     worst = 0.0
     rng = np.random.default_rng(333)
     for disc in grid.values():
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         counts = (cx.num_vertices, cx.num_edges, cx.num_faces)
         interior = (cx.interior_vertices, cx.interior_edges, cx.interior_faces)
         for k in (1, 2):
@@ -89,9 +89,9 @@ def test_criterion_3_adjointness(grid):
                 u = Cochain(k - 1, np.where(interior[k - 1], rng.standard_normal(nu), 0.0))
                 v = Cochain(k, np.where(interior[k], rng.standard_normal(nv), 0.0))
                 du = hd.apply_d(u, cx)
-                lhs = dec.inner(du, v, "l2", cx, stars)
-                rhs = dec.inner(u, hd.codifferential(v, cx, stars), "l2", cx, stars)
-                scale = dec.norm(du, "l2", cx, stars) * dec.norm(v, "l2", cx, stars)
+                lhs = dec.inner(du, v, "l2", disc)
+                rhs = dec.inner(u, hd.codifferential(v, disc), "l2", disc)
+                scale = dec.norm(du, "l2", disc) * dec.norm(v, "l2", disc)
                 if scale > 0:
                     worst = max(worst, abs(lhs - rhs) / scale)
     report(3, worst <= 1e-12, f"max |(du,v)-(u,dv*)| / (|du||v|) = {worst:.2e} <= 1e-12")
@@ -103,18 +103,18 @@ def test_criterion_4_dense_oracle(discretize):
     sizes = []
     for key in [(1.0, 0.6, 0.2), (0.0, 0.5, 0.16)]:
         disc = discretize(*key)
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         total = cx.num_vertices + cx.num_edges + cx.num_faces
         sizes.append(total)
         assert total <= 200
         alpha = Cochain(1, rng.standard_normal(cx.num_edges))
         for tag in ("l2", "h1"):
             split = hd.decompose(alpha, tag, disc, tol=1e-12)
-            exact, coexact, gamma = dense_split_oracle(alpha, tag, cx, stars)
+            exact, coexact, gamma = dense_split_oracle(alpha, tag, disc)
             scale = np.linalg.norm(alpha.values)
             errs = [
                 np.linalg.norm((cx.d0 @ split.beta.values) - exact),
-                np.linalg.norm(dec.codifferential(split.omega, cx, stars).values - coexact),
+                np.linalg.norm(dec.codifferential(split.omega, disc).values - coexact),
                 np.linalg.norm(split.gamma.values - gamma),
             ]
             worst = max(worst, max(errs) / scale)
@@ -144,9 +144,9 @@ def test_criterion_5_decomposition_structure(mixed_run):
 
 def test_criterion_6_harmonic_regression(dx_levels):
     disc, alpha, split = dx_levels[0.05]
-    cx, stars = disc.cx, disc.stars
+    cx = disc.cx
     l2 = "l2"
-    norm_sq = dec.inner(alpha, alpha, l2, cx, stars)
+    norm_sq = dec.inner(alpha, alpha, l2, disc)
     norm_ok = abs(norm_sq - DX_NORM_SQ_TARGET) <= 0.02 * DX_NORM_SQ_TARGET
 
     frac = split.diagnostics["norm_gamma"] ** 2 / split.diagnostics["norm_alpha"] ** 2
@@ -157,11 +157,10 @@ def test_criterion_6_harmonic_regression(dx_levels):
     # the interior divergence must strictly decrease
     d_res, s_res = {}, {}
     for h, (d_h, a_h, _) in dx_levels.items():
-        c2, st = d_h.cx, d_h.stars
-        n = dec.norm(a_h, "l2", c2, st)
-        d_a, s_a = hd.apply_d(a_h, c2), dec.codifferential(a_h, c2, st)
-        d_res[h] = np.sqrt(dec.interior_inner(d_a, d_a, c2, st)) / n
-        s_res[h] = np.sqrt(dec.interior_inner(s_a, s_a, c2, st)) / n
+        n = dec.norm(a_h, "l2", d_h)
+        d_a, s_a = hd.apply_d(a_h, d_h.cx), dec.codifferential(a_h, d_h)
+        d_res[h] = np.sqrt(dec.interior_inner(d_a, d_a, d_h)) / n
+        s_res[h] = np.sqrt(dec.interior_inner(s_a, s_a, d_h)) / n
     closed_ok = all(v <= 1e-12 for v in d_res.values())
     trend_ok = s_res[0.2] > s_res[0.1] > s_res[0.05]
 
@@ -188,11 +187,11 @@ def test_criterion_7_energy_bound(dx_levels, mixed_run, discretize):
 
     # exactly one-sided inputs: the corresponding energy term drops out exactly
     disc = discretize(1.0, 1.0, 0.1)
-    cx, stars = disc.cx, disc.stars
+    cx = disc.cx
     rng = np.random.default_rng(77)
     beta0, omega0 = interior_potentials(cx, rng)
     closed = hd.apply_d(beta0, cx)  # exactly closed
-    coclosed = dec.codifferential(omega0, cx, stars)  # exactly co-closed
+    coclosed = dec.codifferential(omega0, disc)  # exactly co-closed
     rep_c = hd.harmonic_diagnostics(closed, disc)
     rep_cc = hd.harmonic_diagnostics(coclosed, disc)
     exact_ok = rep_c["d_residual"] <= 1e-12 and rep_cc["delta_residual"] <= 1e-12
@@ -217,13 +216,13 @@ def test_criterion_8_stream_constructive(discretize):
     n_runs = 0
     for key in [(0.0, 1.0, 0.2), (0.0, 1.0, 0.1), (1.0, 1.0, 0.2), (1.0, 1.0, 0.1)]:
         disc = discretize(*key)
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         for seed in range(20):
             rng = np.random.default_rng(seed)
             omega0 = Cochain(
                 2, np.where(cx.interior_faces, rng.standard_normal(cx.num_faces), 0.0)
             )
-            v = hd.codifferential(omega0, cx, stars)
+            v = hd.codifferential(omega0, disc)
             res = hd.stream_function(v, disc)
             worst_res = max(worst_res, res.residual)
             fmax = max(np.abs(res.f).max(), 1.0)
@@ -283,21 +282,21 @@ def test_criterion_10_euclidean_regression(discretize):
     rels, absolutes = {}, {}
     for rho in (2.0, 3.0, 4.0):
         disc = discretize(0.0, rho, 0.1)
-        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
+        mesh, cx = disc.mesh, disc.cx
         rng = np.random.default_rng(1010)
         beta0, omega0 = interior_potentials(cx, rng)
         parts = [
             cutoff_dx_form(mesh, cx),
             hd.apply_d(beta0, cx),
-            dec.codifferential(omega0, cx, stars),
+            dec.codifferential(omega0, disc),
         ]
         total = np.zeros(cx.num_edges)
         for p in parts:
-            total += p.values / dec.norm(p, l2, cx, stars)
+            total += p.values / dec.norm(p, l2, disc)
         alpha = Cochain(1, total)
         split = hd.decompose(alpha, l2, disc, tol=1e-12)
-        g_h1 = dec.norm(split.gamma, h1, cx, stars)
-        rels[rho] = g_h1 / dec.norm(alpha, h1, cx, stars)
+        g_h1 = dec.norm(split.gamma, h1, disc)
+        rels[rho] = g_h1 / dec.norm(alpha, h1, disc)
         absolutes[rho] = g_h1
     bound_ok = all(v <= 0.05 for v in rels.values())
     trend_ok = absolutes[2.0] > absolutes[3.0] > absolutes[4.0]

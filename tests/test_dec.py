@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 import hodgedec as hd
-from hodgedec import dec
+from hodgedec import dec, hodge
 from hodgedec.errors import ConfigError, ConvergenceError, DegreeError, MeshQualityError
 from hodgedec.forms import coordinate_form
 from hodgedec.simplicial import Cochain
@@ -18,33 +18,39 @@ DX_NORM_SQ_RHO3 = 2.5738860042923556  # pi * tanh(1.5)^2
 
 
 def setup(mesh):
-    cx = hd.build_complex(mesh)
-    return cx, hd.assemble_stars(mesh, cx)
+    return hd.assemble_stars(mesh, hd.build_complex(mesh))
 
 
 class TestStarWeights:
     def test_shared_equilateral_edge(self):
         mesh = make_rhombus_mesh()
-        cx, stars = setup(mesh)
-        shared = [e for e, (i, j) in enumerate(cx.edges) if (i, j) == (0, 1)]
-        assert stars.star1[shared[0]] == pytest.approx(COT60, rel=1e-12)
+        disc = setup(mesh)
+        shared = [e for e, (i, j) in enumerate(disc.cx.edges) if (i, j) == (0, 1)]
+        assert disc.star1[shared[0]] == pytest.approx(COT60, rel=1e-12)
 
     def test_unit_equilateral_face_weight(self):
         mesh = make_triangle_mesh()
-        _, stars = setup(mesh)
-        assert stars.star2[0] == pytest.approx(INV_EQUILATERAL_AREA, rel=1e-12)
+        disc = setup(mesh)
+        assert disc.star2[0] == pytest.approx(INV_EQUILATERAL_AREA, rel=1e-12)
 
     def test_vertex_areas_partition_faces(self, discretize):
         for key in [(0.0, 1.0, 0.2), (1.0, 2.0, 0.1)]:
-            stars = discretize(*key).stars
-            total = stars.face_areas.sum()
-            assert stars.star0.sum() == pytest.approx(total, rel=1e-9)
+            disc = discretize(*key)
+            total = disc.face_areas.sum()
+            assert disc.star0.sum() == pytest.approx(total, rel=1e-9)
 
     def test_all_weights_positive(self, discretize):
-        stars = discretize(1.0, 3.0, 0.1).stars
-        assert stars.star0.min() > 0
-        assert stars.star1.min() > 0
-        assert stars.star2.min() > 0
+        disc = discretize(1.0, 3.0, 0.1)
+        assert disc.star0.min() > 0
+        assert disc.star1.min() > 0
+        assert disc.star2.min() > 0
+
+    def test_complex_of_another_mesh_rejected(self):
+        rhombus = make_rhombus_mesh()
+        swapped = hd.TriMesh(rhombus.vertices, rhombus.triangles[::-1], 0.0)
+        for other in (make_triangle_mesh(), swapped):  # vertex count, then faces differ
+            with pytest.raises(ConfigError, match="complex"):
+                hd.assemble_stars(rhombus, hd.build_complex(other))
 
     def test_right_angle_grid_rejected(self):
         # a square-grid split puts cot(pi/2) = 0 on every diagonal
@@ -58,14 +64,14 @@ class TestStarWeights:
 class TestCodifferential:
     def test_degree_zero_rejected(self, discretize):
         disc = discretize(0.0, 1.0, 0.2)
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         with pytest.raises(DegreeError):
-            hd.codifferential(Cochain(0, np.zeros(cx.num_vertices)), cx, stars)
+            hd.codifferential(Cochain(0, np.zeros(cx.num_vertices)), disc)
 
     @pytest.mark.parametrize("a", [0.0, 1.0])
     def test_adjointness(self, discretize, rng, a):
         disc = discretize(a, 1.0, 0.1)
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         counts = (cx.num_vertices, cx.num_edges, cx.num_faces)
         interior = (cx.interior_vertices, cx.interior_edges, cx.interior_faces)
         for k in (1, 2):
@@ -73,10 +79,10 @@ class TestCodifferential:
                 u = Cochain(k - 1, np.where(interior[k - 1], rng.standard_normal(counts[k - 1]), 0.0))
                 v = Cochain(k, np.where(interior[k], rng.standard_normal(counts[k]), 0.0))
                 du = hd.apply_d(u, cx)
-                dv = hd.codifferential(v, cx, stars)
-                lhs = dec.inner(du, v, "l2", cx, stars)
-                rhs = dec.inner(u, dv, "l2", cx, stars)
-                scale = dec.norm(du, "l2", cx, stars) * dec.norm(v, "l2", cx, stars)
+                dv = hd.codifferential(v, disc)
+                lhs = dec.inner(du, v, "l2", disc)
+                rhs = dec.inner(u, dv, "l2", disc)
+                scale = dec.norm(du, "l2", disc) * dec.norm(v, "l2", disc)
                 assert abs(lhs - rhs) <= 1e-12 * max(scale, 1e-300)
 
 
@@ -84,36 +90,36 @@ class TestInnerProducts:
     def test_h1_coefficient_at_curvature_one(self, discretize, rng):
         # [u,u] = 2 (u,u) + |du|^2 + |delta u|^2 since c = a^2 k (N-k) = 1
         disc = discretize(1.0, 1.0, 0.2)
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         u = Cochain(1, rng.standard_normal(cx.num_edges))
         h1 = "h1"
         l2 = "l2"
         du = hd.apply_d(u, cx)
-        su = hd.codifferential(u, cx, stars)
+        su = hd.codifferential(u, disc)
         manual = (
-            2.0 * dec.inner(u, u, l2, cx, stars)
-            + float(np.dot(du.values, (stars.star2 * cx.interior_faces) * du.values))
-            + float(np.dot(su.values, (stars.star0 * cx.interior_vertices) * su.values))
+            2.0 * dec.inner(u, u, l2, disc)
+            + float(np.dot(du.values, (disc.star2 * cx.interior_faces) * du.values))
+            + float(np.dot(su.values, (disc.star0 * cx.interior_vertices) * su.values))
         )
-        assert dec.inner(u, u, h1, cx, stars) == pytest.approx(manual, rel=1e-13)
-        assert dec.curvature_constant(stars.curvature, 1) == 1.0
+        assert dec.inner(u, u, h1, disc) == pytest.approx(manual, rel=1e-13)
+        assert dec.curvature_constant(disc.curvature, 1) == 1.0
 
     def test_flat_h1_reduces_to_curl_div_form(self, discretize, rng):
         disc = discretize(0.0, 1.0, 0.2)
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         h1 = "h1"
-        assert dec.curvature_constant(stars.curvature, 1) == 0.0
+        assert dec.curvature_constant(disc.curvature, 1) == 0.0
         u = Cochain(1, rng.standard_normal(cx.num_edges))
         v = Cochain(1, rng.standard_normal(cx.num_edges))
         l2 = "l2"
         du, dv = hd.apply_d(u, cx), hd.apply_d(v, cx)
-        su, sv = hd.codifferential(u, cx, stars), hd.codifferential(v, cx, stars)
+        su, sv = hd.codifferential(u, disc), hd.codifferential(v, disc)
         manual = (
-            dec.inner(u, v, l2, cx, stars)
-            + float(np.dot(du.values, (stars.star2 * cx.interior_faces) * dv.values))
-            + float(np.dot(su.values, (stars.star0 * cx.interior_vertices) * sv.values))
+            dec.inner(u, v, l2, disc)
+            + float(np.dot(du.values, (disc.star2 * cx.interior_faces) * dv.values))
+            + float(np.dot(su.values, (disc.star0 * cx.interior_vertices) * sv.values))
         )
-        assert dec.inner(u, v, h1, cx, stars) == pytest.approx(manual, rel=1e-12)
+        assert dec.inner(u, v, h1, disc) == pytest.approx(manual, rel=1e-12)
 
     def test_degenerate_degree_constants(self):
         assert dec.curvature_constant(2.0, 0) == 0.0
@@ -121,27 +127,26 @@ class TestInnerProducts:
 
     def test_degree_mismatch_rejected(self, discretize):
         disc = discretize(0.0, 1.0, 0.2)
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         with pytest.raises(DegreeError):
             dec.inner(
                 Cochain(0, np.zeros(cx.num_vertices)),
                 Cochain(1, np.zeros(cx.num_edges)),
                 "l2",
-                cx,
-                stars,
+                disc,
             )
 
     def test_unknown_space_rejected(self, discretize):
         disc = discretize(0.0, 1.0, 0.2)
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         u = Cochain(1, np.zeros(cx.num_edges))
         for space in ("h2", "H1", ""):
             with pytest.raises(ConfigError, match="space"):
-                dec.inner(u, u, space, cx, stars)
+                dec.inner(u, u, space, disc)
 
     def test_h1_norm_takes_each_derivative_once(self, discretize, rng, monkeypatch):
         disc = discretize(1.0, 1.0, 0.2)
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         u = Cochain(1, rng.standard_normal(cx.num_edges))
         calls = {"apply_d": 0, "codifferential": 0}
 
@@ -154,33 +159,33 @@ class TestInnerProducts:
 
         for name in calls:
             monkeypatch.setattr(dec, name, counted(name, getattr(dec, name)))
-        norm = dec.norm(u, "h1", cx, stars)
+        norm = dec.norm(u, "h1", disc)
         assert calls == {"apply_d": 1, "codifferential": 1}
         # a distinct but equal v takes both derivatives of both arguments, to the same bits
-        assert norm == math.sqrt(dec.inner(u, Cochain(1, u.values.copy()), "h1", cx, stars))
+        assert norm == math.sqrt(dec.inner(u, Cochain(1, u.values.copy()), "h1", disc))
         assert calls == {"apply_d": 3, "codifferential": 3}
 
     def test_h1_dominates_l2(self, discretize, rng):
         disc = discretize(1.0, 1.0, 0.2)
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         u = Cochain(1, rng.standard_normal(cx.num_edges))
         h1 = "h1"
         l2 = "l2"
-        uu = dec.inner(u, u, l2, cx, stars)
-        assert dec.inner(u, u, h1, cx, stars) >= uu > 0
+        uu = dec.inner(u, u, l2, disc)
+        assert dec.inner(u, u, h1, disc) >= uu > 0
 
     def test_sampled_dx_l2_norm(self, discretize):
         disc = discretize(1.0, 3.0, 0.1)
-        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
+        mesh, cx = disc.mesh, disc.cx
         dx = coordinate_form(mesh, cx)
         l2 = "l2"
-        assert dec.inner(dx, dx, l2, cx, stars) == pytest.approx(DX_NORM_SQ_RHO3, rel=0.02)
+        assert dec.inner(dx, dx, l2, disc) == pytest.approx(DX_NORM_SQ_RHO3, rel=0.02)
 
 
-def dense_laplacian_oracle(mesh, cx, stars):
+def dense_laplacian_oracle(mesh, disc):
     """Dense 0-form Laplacian assembled corner by corner, independent path."""
     V = mesh.vertices
-    n = cx.num_vertices
+    n = disc.cx.num_vertices
     W = np.zeros((n, n))
     for (i, j, k) in map(tuple, mesh.triangles):
         for (a, b, c) in [(i, j, k), (j, k, i), (k, i, j)]:
@@ -191,56 +196,57 @@ def dense_laplacian_oracle(mesh, cx, stars):
             W[a, b] += 0.5 * cot
             W[b, a] += 0.5 * cot
     L = np.diag(W.sum(axis=1)) - W
-    return np.diag(1.0 / stars.star0) @ L
+    return np.diag(1.0 / disc.star0) @ L
 
 
-def laplacian(c, cx, stars):
+def laplacian(c, disc):
     """delta d + d delta, the terms that leave degrees 0..2 dropped."""
     out = np.zeros_like(c.values)
     if c.degree < 2:
-        out += dec.codifferential(hd.apply_d(c, cx), cx, stars).values
+        out += dec.codifferential(hd.apply_d(c, disc.cx), disc).values
     if c.degree > 0:
-        out += hd.apply_d(dec.codifferential(c, cx, stars), cx).values
+        out += hd.apply_d(dec.codifferential(c, disc), disc.cx).values
     return Cochain(c.degree, out)
 
 
 class TestLaplacians:
     def test_constant_in_kernel(self, discretize):
         disc = discretize(1.0, 1.0, 0.2)
-        cx, stars = disc.cx, disc.stars
-        out = laplacian(Cochain(0, np.ones(cx.num_vertices)), cx, stars)
+        cx = disc.cx
+        out = laplacian(Cochain(0, np.ones(cx.num_vertices)), disc)
         assert np.abs(out.values).max() < 1e-12
 
     def test_matches_dense_cotangent_oracle(self, rng):
         mesh = make_lattice_mesh()
-        cx, stars = setup(mesh)
+        disc = setup(mesh)
+        cx = disc.cx
         assert cx.num_vertices <= 25
-        L = dense_laplacian_oracle(mesh, cx, stars)
+        L = dense_laplacian_oracle(mesh, disc)
         f = rng.standard_normal(cx.num_vertices)
-        ours = laplacian(Cochain(0, f), cx, stars).values
+        ours = laplacian(Cochain(0, f), disc).values
         np.testing.assert_allclose(ours, L @ f, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_l2_self_adjoint(self, discretize, rng, k):
         disc = discretize(1.0, 1.0, 0.1)
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         l2 = "l2"
         n = (cx.num_vertices, cx.num_edges, cx.num_faces)[k]
         u, v = Cochain(k, rng.standard_normal(n)), Cochain(k, rng.standard_normal(n))
-        lu, lv = laplacian(u, cx, stars), laplacian(v, cx, stars)
-        lhs = dec.inner(lu, v, l2, cx, stars)
-        rhs = dec.inner(u, lv, l2, cx, stars)
-        scale = dec.norm(lu, l2, cx, stars) * dec.norm(v, l2, cx, stars)
+        lu, lv = laplacian(u, disc), laplacian(v, disc)
+        lhs = dec.inner(lu, v, l2, disc)
+        rhs = dec.inner(u, lv, l2, disc)
+        scale = dec.norm(lu, l2, disc) * dec.norm(v, l2, disc)
         assert abs(lhs - rhs) <= 1e-12 * max(scale, 1e-300)
 
     def test_laplacian_vanishes_on_harmonic_remainder(self, discretize):
         # gamma is closed and co-closed on the test region, so delta d gamma
         # + d delta gamma vanishes on the edges well inside it
         disc = discretize(1.0, 2.0, 0.1)
-        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
+        mesh, cx = disc.mesh, disc.cx
         dx = coordinate_form(mesh, cx)
         gamma = hd.decompose(dx, "h1", disc).gamma
-        lap = laplacian(gamma, cx, stars)
+        lap = laplacian(gamma, disc)
         rho = hd.radial_distance(mesh.vertices, 1.0)
         deep = (rho[cx.edges[:, 0]] < 2.0 - 0.25) & (rho[cx.edges[:, 1]] < 2.0 - 0.25)
         assert np.abs(lap.values[deep]).max() <= 1e-6 * np.abs(gamma.values).max()
@@ -258,13 +264,11 @@ class TestSampledHarmonicForm:
         norms = {}
         for h in (0.2, 0.1):
             disc = discretize(1.0, 2.0, h)
-            mesh, cx, stars = disc.mesh, disc.cx, disc.stars
+            mesh, cx = disc.mesh, disc.cx
             dx = coordinate_form(mesh, cx)
             l2 = "l2"
-            div = hd.codifferential(dx, cx, stars)
-            norms[h] = math.sqrt(dec.interior_inner(div, div, cx, stars)) / dec.norm(
-                dx, l2, cx, stars
-            )
+            div = hd.codifferential(dx, disc)
+            norms[h] = math.sqrt(dec.interior_inner(div, div, disc)) / dec.norm(dx, l2, disc)
         # O(h) or better
         assert norms[0.1] <= 0.75 * norms[0.2]
 
@@ -361,8 +365,8 @@ class TestSolver:
 
 def potential_blocks(disc):
     """The vertex and face blocks that `decompose` solves."""
-    _, _, P, Q = disc.potential_maps
-    s1 = sp.diags(disc.stars.star1)
+    _, _, P, Q = hodge._potential_maps(disc)
+    s1 = sp.diags(disc.star1)
     return (P.T @ s1 @ P).tocsr(), (Q.T @ s1 @ Q).tocsr()
 
 

@@ -31,18 +31,19 @@ def interior_potentials(cx, rng):
     return beta, omega
 
 
-def dense_split_oracle(alpha, space, cx, stars):
+def dense_split_oracle(alpha, space, disc):
     """Brute-force orthogonal projection: explicit basis, dense Gram solve.
 
     Independent of the sparse path: inner products are reassembled here from
     the raw star arrays and incidence matrices.
     """
-    s0, s1, s2 = stars.star0, stars.star1, stars.star2
+    cx = disc.cx
+    s0, s1, s2 = disc.star0, disc.star1, disc.star2
     m0 = s0 * cx.interior_vertices
     m2 = s2 * cx.interior_faces
     d0 = cx.d0.toarray().astype(float)
     d1 = cx.d1.toarray().astype(float)
-    c = stars.curvature**2  # a^2 k (N - k) at k = 1, N = 2
+    c = disc.curvature**2  # a^2 k (N - k) at k = 1, N = 2
 
     # delta on 1-forms and 2-forms as dense matrices
     delta1 = np.diag(1.0 / s0) @ d0.T @ np.diag(s1)
@@ -90,9 +91,9 @@ class TestDecompose:
     @pytest.mark.parametrize("tag", ["l2", "h1"])
     def test_coexact_input_recovered(self, discretize, rng, tag):
         disc = discretize(1.0, 1.0, 0.1)
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         _, omega0 = interior_potentials(cx, rng)
-        alpha = hd.codifferential(omega0, cx, stars)
+        alpha = hd.codifferential(omega0, disc)
         split = hd.decompose(alpha, tag, disc)
         d = split.diagnostics
         assert d["norm_gamma"] <= 1e-8 * d["norm_alpha"]
@@ -102,23 +103,23 @@ class TestDecompose:
     @pytest.mark.parametrize("key", [(1.0, 0.6, 0.2), (0.0, 0.5, 0.16)])
     def test_against_dense_oracle(self, discretize, rng, tag, key):
         disc = discretize(*key)
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         total = cx.num_vertices + cx.num_edges + cx.num_faces
         assert total <= 200
         alpha = Cochain(1, rng.standard_normal(cx.num_edges))
         split = hd.decompose(alpha, tag, disc, tol=1e-12)
-        exact, coexact, gamma = dense_split_oracle(alpha, tag, cx, stars)
+        exact, coexact, gamma = dense_split_oracle(alpha, tag, disc)
         scale = np.linalg.norm(alpha.values)
         d_beta = cx.d0 @ split.beta.values
-        d_omega = dec.codifferential(split.omega, cx, stars).values
+        d_omega = dec.codifferential(split.omega, disc).values
         assert np.linalg.norm(d_beta - exact) <= 1e-8 * scale
         assert np.linalg.norm(d_omega - coexact) <= 1e-8 * scale
         assert np.linalg.norm(split.gamma.values - gamma) <= 1e-8 * scale
 
     def test_reconstruction_and_orthogonality(self, discretize, rng):
         disc = discretize(1.0, 1.5, 0.15)
-        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
-        alpha = builtin_form("mixed", mesh, cx, stars, seed=5)
+        mesh, cx = disc.mesh, disc.cx
+        alpha = builtin_form("mixed", mesh, cx, disc, seed=5)
         space = "h1"
         split = hd.decompose(alpha, space, disc)
         d = split.diagnostics
@@ -128,8 +129,8 @@ class TestDecompose:
 
     def test_idempotent_on_harmonic_part(self, discretize):
         disc = discretize(1.0, 1.5, 0.15)
-        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
-        alpha = builtin_form("mixed", mesh, cx, stars, seed=5)
+        mesh, cx = disc.mesh, disc.cx
+        alpha = builtin_form("mixed", mesh, cx, disc, seed=5)
         space = "h1"
         split = hd.decompose(alpha, space, disc)
         again = hd.decompose(split.gamma, space, disc)
@@ -143,8 +144,8 @@ class TestDecompose:
         # direct sum, so the split does not depend on the chosen metric; the
         # one solve path returns the same bits for both
         disc = discretize(1.0, 1.5, 0.15)
-        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
-        alpha = builtin_form("mixed", mesh, cx, stars, seed=5)
+        mesh, cx = disc.mesh, disc.cx
+        alpha = builtin_form("mixed", mesh, cx, disc, seed=5)
         s_l2 = hd.decompose(alpha, "l2", disc, tol=1e-12)
         s_h1 = hd.decompose(alpha, "h1", disc, tol=1e-12)
         for part in ("beta", "omega", "gamma"):
@@ -153,14 +154,14 @@ class TestDecompose:
 
     def test_reconstruction_residual_detects_perturbed_gamma(self, discretize):
         disc = discretize(1.0, 1.0, 0.2)
-        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
-        alpha = builtin_form("mixed", mesh, cx, stars, seed=5)
+        mesh, cx = disc.mesh, disc.cx
+        alpha = builtin_form("mixed", mesh, cx, disc, seed=5)
         split = hd.decompose(alpha, "l2", disc)
-        _, _, P, Q = disc.potential_maps
-        scales = _optimality_terms(np.abs(alpha.values), abs(P), abs(Q), stars.star1)
+        _, _, P, Q = hd.hodge._potential_maps(disc)
+        scales = _optimality_terms(np.abs(alpha.values), abs(P), abs(Q), disc.star1)
 
         def residual(gamma):
-            return float(np.max(_optimality_terms(gamma, P, Q, stars.star1) / scales))
+            return float(np.max(_optimality_terms(gamma, P, Q, disc.star1) / scales))
 
         assert residual(split.gamma.values) == split.diagnostics["reconstruction_residual"] <= 1e-9
         bump = 1e-6 * np.abs(alpha.values).max()
@@ -171,22 +172,22 @@ class TestDecompose:
 
     def test_gamma_interior_harmonic_by_optimality(self, discretize):
         disc = discretize(1.0, 1.5, 0.15)
-        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
-        alpha = builtin_form("mixed", mesh, cx, stars, seed=5)
+        mesh, cx = disc.mesh, disc.cx
+        alpha = builtin_form("mixed", mesh, cx, disc, seed=5)
         space = "h1"
         split = hd.decompose(alpha, space, disc)
         l2 = "l2"
-        scale = dec.norm(split.gamma, l2, cx, stars)
+        scale = dec.norm(split.gamma, l2, disc)
         d_gamma = hd.apply_d(split.gamma, cx)
-        s_gamma = dec.codifferential(split.gamma, cx, stars)
-        assert np.sqrt(dec.interior_inner(d_gamma, d_gamma, cx, stars)) <= 1e-6 * scale
-        assert np.sqrt(dec.interior_inner(s_gamma, s_gamma, cx, stars)) <= 1e-6 * scale
+        s_gamma = dec.codifferential(split.gamma, disc)
+        assert np.sqrt(dec.interior_inner(d_gamma, d_gamma, disc)) <= 1e-6 * scale
+        assert np.sqrt(dec.interior_inner(s_gamma, s_gamma, disc)) <= 1e-6 * scale
 
     @TINY
     def test_tiny_input_splits_as_the_input_times_its_factor(self, discretize, factor):
         # unscaled, the norms and conjugate-gradient products of these inputs underflow
         disc = discretize(1.0, 1.5, 0.3)
-        alpha = builtin_form("mixed", disc.mesh, disc.cx, disc.stars, seed=1)
+        alpha = builtin_form("mixed", disc.mesh, disc.cx, disc, seed=1)
         base = hd.decompose(alpha, "h1", disc)
         split = hd.decompose(Cochain(1, alpha.values * factor), "h1", disc)
         for part in ("beta", "omega", "gamma"):
@@ -195,7 +196,7 @@ class TestDecompose:
             assert_scaled(split.diagnostics[key], base.diagnostics[key], factor)
 
     def test_degenerate_mesh_rejected(self):
-        disc = hd.Discretization(hd.ball_mesh(0.0, 0.1, 0.1))  # single ring: no interior faces
+        disc = hd.discretize(hd.ball_mesh(0.0, 0.1, 0.1))  # single ring: no interior faces
         with pytest.raises(ConfigError):
             hd.decompose(Cochain(1, np.zeros(disc.cx.num_edges)), "l2", disc)
 
@@ -216,7 +217,7 @@ class TestHarmonicDiagnostics:
     def test_tiny_input_diagnoses_as_the_input(self, discretize, factor):
         # unscaled, |gamma|^2 underflows, so the residuals read 0 or the ratio None
         disc = discretize(1.0, 1.5, 0.3)
-        alpha = builtin_form("mixed", disc.mesh, disc.cx, disc.stars, seed=1)
+        alpha = builtin_form("mixed", disc.mesh, disc.cx, disc, seed=1)
         gamma = hd.decompose(alpha, "h1", disc).gamma
         base = hd.harmonic_diagnostics(gamma, disc)
         rep = hd.harmonic_diagnostics(Cochain(1, gamma.values * factor), disc)
@@ -237,25 +238,25 @@ class TestHarmonicDiagnostics:
         # delta of a 2-cochain is co-closed up to roundoff: the delta term
         # contributes nothing and E = |dv|^2 + c |v|^2
         disc = discretize(1.0, 1.0, 0.1)
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         _, omega0 = interior_potentials(cx, rng)
-        v = hd.codifferential(omega0, cx, stars)
+        v = hd.codifferential(omega0, disc)
         rep = hd.harmonic_diagnostics(v, disc)
         dv = hd.apply_d(v, cx)
-        d_sq = dec.interior_inner(dv, dv, cx, stars)
-        c, norm_sq = dec.curvature_constant(stars.curvature, 1), dec.inner(v, v, "l2", cx, stars)
+        d_sq = dec.interior_inner(dv, dv, disc)
+        c, norm_sq = dec.curvature_constant(disc.curvature, 1), dec.inner(v, v, "l2", disc)
         assert rep["delta_residual"] <= 1e-12
         assert rep["energy"] == pytest.approx(d_sq + c * norm_sq, rel=1e-12)
 
     def test_closed_input_energy_reduces(self, discretize, rng):
         disc = discretize(1.0, 1.0, 0.1)
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         beta0, _ = interior_potentials(cx, rng)
         u = hd.apply_d(beta0, cx)
         rep = hd.harmonic_diagnostics(u, disc)
-        su = dec.codifferential(u, cx, stars)
-        s_sq = dec.interior_inner(su, su, cx, stars)
-        c, norm_sq = dec.curvature_constant(stars.curvature, 1), dec.inner(u, u, "l2", cx, stars)
+        su = dec.codifferential(u, disc)
+        s_sq = dec.interior_inner(su, su, disc)
+        c, norm_sq = dec.curvature_constant(disc.curvature, 1), dec.inner(u, u, "l2", disc)
         assert rep["d_residual"] <= 1e-12
         assert rep["energy"] == pytest.approx(s_sq + c * norm_sq, rel=1e-12)
 
@@ -272,14 +273,14 @@ class TestHarmonicDiagnostics:
     def test_flat_harmonic_energy_vanishes(self, discretize):
         # a = 0 and exactly harmonic: all three energy terms vanish
         disc = discretize(0.0, 1.0, 0.1)
-        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
-        alpha = builtin_form("mixed", mesh, cx, stars, seed=2)
+        mesh, cx = disc.mesh, disc.cx
+        alpha = builtin_form("mixed", mesh, cx, disc, seed=2)
         space = "h1"
         split = hd.decompose(alpha, space, disc)
         rep = hd.harmonic_diagnostics(split.gamma, disc)
-        assert dec.curvature_constant(stars.curvature, 1) == 0.0
+        assert dec.curvature_constant(disc.curvature, 1) == 0.0
         assert rep["bound_ratio"] is None
-        assert rep["energy"] <= 1e-10 * dec.inner(split.gamma, split.gamma, "l2", cx, stars)
+        assert rep["energy"] <= 1e-10 * dec.inner(split.gamma, split.gamma, "l2", disc)
 
 
 class TestStreamFunction:
@@ -287,7 +288,7 @@ class TestStreamFunction:
     def test_tiny_input_streams_as_the_input_times_its_factor(self, discretize, factor):
         # unscaled, |v| underflows to 0 or the residual to a false 0
         disc = discretize(1.0, 1.5, 0.3)
-        v = builtin_form("coexact", disc.mesh, disc.cx, disc.stars, seed=2)
+        v = builtin_form("coexact", disc.mesh, disc.cx, disc, seed=2)
         base = hd.stream_function(v, disc)
         res = hd.stream_function(Cochain(1, v.values * factor), disc)
         assert_scaled(res.f, base.f, factor)
@@ -307,11 +308,11 @@ class TestStreamFunction:
 
     def test_roundtrip_coexact(self, discretize, rng):
         disc = discretize(1.0, 1.5, 0.15)
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         for seed in range(5):
             r = np.random.default_rng(seed)
             omega0 = Cochain(2, np.where(cx.interior_faces, r.standard_normal(cx.num_faces), 0.0))
-            v = hd.codifferential(omega0, cx, stars)
+            v = hd.codifferential(omega0, disc)
             res = hd.stream_function(v, disc)
             assert res.residual <= 1e-10
             collar = ~cx.interior_faces
@@ -321,11 +322,11 @@ class TestStreamFunction:
     def test_stream_values_recover_potential(self, discretize, rng):
         # star2 * omega = f is the defining relation
         disc = discretize(1.0, 1.0, 0.1)
-        cx, stars = disc.cx, disc.stars
+        cx = disc.cx
         omega0 = Cochain(2, np.where(cx.interior_faces, rng.standard_normal(cx.num_faces), 0.0))
-        v = hd.codifferential(omega0, cx, stars)
+        v = hd.codifferential(omega0, disc)
         res = hd.stream_function(v, disc)
-        np.testing.assert_allclose(stars.star2 * res.omega.values, res.f, atol=1e-12)
+        np.testing.assert_allclose(disc.star2 * res.omega.values, res.f, atol=1e-12)
 
     def test_not_coclosed_names_vertex(self, discretize):
         disc = discretize(0.0, 1.0, 0.2)
@@ -343,18 +344,19 @@ class TestStreamFunction:
     @pytest.mark.parametrize("ball", [(1.0, 1.5, 0.1), (0.0, 1.5, 0.1)])
     def test_matches_reference_walk(self, discretize, ball):
         disc = discretize(*ball)
-        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
-        v = builtin_form("coexact", mesh, cx, stars, seed=4)
+        mesh, cx = disc.mesh, disc.cx
+        v = builtin_form("coexact", mesh, cx, disc, seed=4)
         f = hd.stream_function(v, disc).f
-        ref = reference_stream_values(v, cx, stars)
+        ref = reference_stream_values(v, disc)
         assert np.abs(f - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
-def reference_stream_values(v, cx, stars):
+def reference_stream_values(v, disc):
     """Stream values by a breadth-first walk over per-edge and per-face Python
     lists, marking unvisited faces with NaN: the loop that the tree solve of
     `stream_function` replaced, kept as its reference."""
-    w = stars.star1 * v.values
+    cx = disc.cx
+    w = disc.star1 * v.values
     face_of_edge = [[] for _ in range(cx.num_edges)]
     d1_coo = cx.d1.tocoo()
     for fidx, eidx, s in zip(d1_coo.row, d1_coo.col, d1_coo.data):
@@ -382,8 +384,8 @@ def reference_stream_values(v, cx, stars):
 
 def _coexact_with_nan(discretize):
     disc = discretize(1.0, 1.0, 0.2)
-    mesh, cx, stars = disc.mesh, disc.cx, disc.stars
-    values = builtin_form("coexact", mesh, cx, stars, seed=2).values.copy()
+    mesh, cx = disc.mesh, disc.cx
+    values = builtin_form("coexact", mesh, cx, disc, seed=2).values.copy()
     values[np.flatnonzero(cx.interior_edges)[0]] = np.nan
     return Cochain(1, values), disc
 
@@ -395,7 +397,7 @@ def _no_work(*args, **kwargs):
 class TestNonFiniteCochains:
     def test_decompose_rejects_nan(self, discretize, monkeypatch):
         alpha, disc = _coexact_with_nan(discretize)
-        monkeypatch.setattr(hd.Discretization, "potential_maps", property(_no_work))
+        monkeypatch.setattr(hd.hodge, "_potential_maps", _no_work)
         for tag in ("l2", "h1"):
             with pytest.raises(ConfigError, match="finite"):
                 hd.decompose(alpha, tag, disc)
@@ -416,10 +418,19 @@ class TestNonFiniteCochains:
         disc = discretize(1.0, 1.0, 0.2)
         cx = disc.cx
         huge = Cochain(1, np.full(cx.num_edges, 1e300))
-        monkeypatch.setattr(hd.Discretization, "potential_maps", property(_no_work))
+        monkeypatch.setattr(hd.hodge, "_potential_maps", _no_work)
         for tag in ("l2", "h1"):
             with pytest.raises(ConfigError, match="not finite"):
                 hd.decompose(huge, tag, disc)
+
+    def test_harmonic_energy_that_overflows_rejected(self, discretize):
+        # the squared L2 norm of the scaled input is finite, its energy is not
+        disc = discretize(1.0, 3.0, 0.1)
+        alpha = builtin_form("mixed", disc.mesh, disc.cx, disc, seed=1)
+        energy = hd.harmonic_diagnostics(Cochain(1, alpha.values * 1e150), disc)["energy"]
+        assert 1e304 < energy < np.inf
+        with pytest.raises(ConfigError, match="energy is not finite"):
+            hd.harmonic_diagnostics(Cochain(1, alpha.values * 1e152), disc)
 
     def test_wrong_length_rejected(self, discretize):
         disc = discretize(1.0, 1.0, 0.2)
@@ -435,8 +446,8 @@ class TestRunParameters:
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1.0, 1.0])
     def test_tolerance_outside_unit_interval_rejected(self, discretize, monkeypatch, tol):
         disc = discretize(1.0, 1.0, 0.2)
-        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
-        alpha = builtin_form("coexact", mesh, cx, stars, seed=2)
+        mesh, cx = disc.mesh, disc.cx
+        alpha = builtin_form("coexact", mesh, cx, disc, seed=2)
         monkeypatch.setattr(hd.hodge, "_coclosedness_residual", _no_work)
         with pytest.raises(ConfigError, match="tolerance"):
             hd.decompose(alpha, "h1", disc, tol=tol)
@@ -445,9 +456,9 @@ class TestRunParameters:
 
     def test_unknown_space_rejected_before_solving(self, discretize, monkeypatch):
         disc = discretize(1.0, 1.0, 0.2)
-        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
-        alpha = builtin_form("mixed", mesh, cx, stars, seed=2)
-        monkeypatch.setattr(hd.Discretization, "potential_maps", property(_no_work))
+        mesh, cx = disc.mesh, disc.cx
+        alpha = builtin_form("mixed", mesh, cx, disc, seed=2)
+        monkeypatch.setattr(hd.hodge, "_potential_maps", _no_work)
         with pytest.raises(ConfigError, match="space"):
             hd.decompose(alpha, "h2", disc)
 
@@ -499,7 +510,7 @@ class TestTruncation:
 
     def test_distances_decrease_and_bracket_tail_mass(self, discretize):
         disc = discretize(1.0, 6.0, 0.2)
-        mesh, cx, stars = disc.mesh, disc.cx, disc.stars
+        mesh, cx = disc.mesh, disc.cx
         dx = coordinate_form(mesh, cx)
         space = "l2"
         rho = hd.radial_distance(mesh.vertices, 1.0)
@@ -507,7 +518,7 @@ class TestTruncation:
         def tail(r):
             beyond = (rho[cx.edges[:, 0]] >= r) & (rho[cx.edges[:, 1]] >= r)
             vals = np.where(beyond, dx.values, 0.0)
-            return dec.norm(Cochain(1, vals), space, cx, stars)
+            return dec.norm(Cochain(1, vals), space, disc)
 
         dists = [hd.truncation_distance(dx, R, space, disc) for R in (1.5, 2.0, 2.5)]
         assert dists[0] > dists[1] > dists[2]

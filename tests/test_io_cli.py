@@ -31,10 +31,10 @@ VERIFY_TENSOR_SHA256 = "de1adc7f0a8e83c78129c82d7f85768e7c08cbc04adab2b2b3e2c351
 @pytest.fixture()
 def small_mesh(tmp_path, discretize):
     disc = discretize(1.0, 1.0, 0.2)
-    mesh, cx, stars = disc.mesh, disc.cx, disc.stars
+    mesh, cx = disc.mesh, disc.cx
     path = tmp_path / "mesh.json"
     io.save_mesh(mesh, path)
-    return mesh, cx, stars, path
+    return mesh, cx, disc, path
 
 
 class TestFiles:
@@ -144,8 +144,8 @@ class TestCli:
     @pytest.mark.parametrize("command", ["decompose", "stream"])
     @pytest.mark.parametrize("defect", ["nan", "short", "degree", "huge"])
     def test_malformed_cochain_is_validation_error(self, small_mesh, tmp_path, command, defect):
-        mesh, cx, stars, path = small_mesh
-        values = hd.builtin_form("coexact", mesh, cx, stars, seed=2).values.copy()
+        mesh, cx, disc, path = small_mesh
+        values = hd.builtin_form("coexact", mesh, cx, disc, seed=2).values.copy()
         degree = 1
         if defect == "nan":
             values[np.flatnonzero(cx.interior_edges)[0]] = np.nan
@@ -229,8 +229,8 @@ class TestCli:
         assert main(["decompose", "--mesh", str(small_mesh[3]), "--form", f"builtin:{form}",
                      "--space", space, "--seed", "4", "--deterministic", "--out", str(path)]) == 0
         report = json.loads(path.read_text())
-        disc = hd.Discretization(io.load_mesh(small_mesh[3]))
-        alpha = hd.builtin_form(form, disc.mesh, disc.cx, disc.stars, seed=4)
+        disc = hd.discretize(io.load_mesh(small_mesh[3]))
+        alpha = hd.builtin_form(form, disc.mesh, disc.cx, disc, seed=4)
         split = hd.decompose(alpha, space, disc)
         assert report["diagnostics"] == split.diagnostics
         assert report["harmonic"] == hd.harmonic_diagnostics(split.gamma, disc)
@@ -264,8 +264,8 @@ class TestCli:
 
     def test_legacy_stamped_cochain_loads(self, small_mesh, tmp_path):
         # a cochain file written before the array digest carries the JSON-text one
-        mesh, cx, stars, mesh_path = small_mesh
-        form = hd.builtin_form("coexact", mesh, cx, stars, seed=2)
+        mesh, cx, disc, mesh_path = small_mesh
+        form = hd.builtin_form("coexact", mesh, cx, disc, seed=2)
         form_path = tmp_path / "form.json"
         io.save_json({"degree": 1, "values": form.values.tolist(),
                       "mesh_checksum": io.legacy_mesh_checksum(mesh)}, form_path)
@@ -310,10 +310,10 @@ class TestCli:
 
     def test_indent_2_files_give_the_same_report(self, small_mesh, tmp_path):
         # files written before save_json dropped the indentation keep loading
-        mesh, cx, stars, _ = small_mesh
+        mesh, cx, disc, _ = small_mesh
         mesh_path, form_path, out = tmp_path / "m.json", tmp_path / "form.json", tmp_path / "out.json"
         io.save_mesh(mesh, mesh_path)
-        io.save_cochain(hd.builtin_form("mixed", mesh, cx, stars, seed=3), mesh, form_path)
+        io.save_cochain(hd.builtin_form("mixed", mesh, cx, disc, seed=3), mesh, form_path)
         argv = ["decompose", "--mesh", str(mesh_path), "--form", str(form_path),
                 "--deterministic", "--out", str(out)]
         assert main(argv) == 0
@@ -332,8 +332,8 @@ class TestCli:
             "vertex": int(disc.cx.interior_vertices.sum()),
             "face": int(disc.cx.interior_faces.sum()),
         }
-        _, _, P, Q = disc.potential_maps
-        s1 = sp.diags(disc.stars.star1)
+        _, _, P, Q = hodge._potential_maps(disc)
+        s1 = sp.diags(disc.star1)
         nnz = {"vertex": (P.T @ s1 @ P).tocsr().nnz, "face": (Q.T @ s1 @ Q).tocsr().nnz}
         reports = {}
         for form in ("mixed", "dx", "mixed"):
@@ -453,6 +453,20 @@ class TestRunParameters:
         assert "zero L2 norm" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_convergence_rejects_an_overflowing_energy_before_solving(
+        self, discretize, tmp_path, monkeypatch, capsys
+    ):
+        disc = discretize(1.0, 3.0, 0.1)  # the ball that the command meshes
+        alpha = hd.builtin_form("mixed", disc.mesh, disc.cx, disc, seed=1)
+        form = tmp_path / "huge.json"
+        io.save_cochain(Cochain(1, alpha.values * 1e152), disc.mesh, form)
+        monkeypatch.setattr(hodge, "decompose", _unreachable)
+        out = tmp_path / "c.csv"
+        assert main(["convergence", "--curvature", "1", "--radius", "3", "--edge", "0.1",
+                     "--levels", "1", "--space", "l2", "--form", str(form), "--out", str(out)]) == 1
+        assert "energy is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_convergence_rejects_a_cochain_file_for_several_levels(self, tmp_path, monkeypatch, capsys):
         mesh = hd.ball_mesh(1.0, 1.5, 0.3)
         form = tmp_path / "form.json"
@@ -501,7 +515,7 @@ class TestRunParameters:
         disc = discretize(1.0, 3.0, 0.2)  # wide enough for the cutoff scale R = 1.2
         path, form, legacy = tmp_path / "mesh.json", tmp_path / "form.json", tmp_path / "legacy.json"
         io.save_mesh(disc.mesh, path)
-        coexact = hd.builtin_form("coexact", disc.mesh, disc.cx, disc.stars, seed=1)
+        coexact = hd.builtin_form("coexact", disc.mesh, disc.cx, disc, seed=1)
         io.save_cochain(coexact, disc.mesh, form)
         # a file stamped before the array digest is checked against the legacy one as well
         io.save_json({**json.loads(form.read_text()),
@@ -560,10 +574,10 @@ def _valid_files(directory):
     """A small mesh file and a degree-1 cochain file that belongs to it."""
     mesh = hd.ball_mesh(1.0, 0.6, 0.2)
     cx = hd.build_complex(mesh)
-    stars = hd.assemble_stars(mesh, cx)
+    disc = hd.assemble_stars(mesh, cx)
     mesh_path, form_path = directory / "mesh.json", directory / "form.json"
     io.save_mesh(mesh, mesh_path)
-    io.save_cochain(hd.builtin_form("coexact", mesh, cx, stars, seed=1), mesh, form_path)
+    io.save_cochain(hd.builtin_form("coexact", mesh, cx, disc, seed=1), mesh, form_path)
     return mesh_path, form_path
 
 
