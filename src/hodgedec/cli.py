@@ -130,9 +130,9 @@ def _cmd_decompose(args) -> int:
         {
             "space": args.space,
             "star_clamp_count": disc.clamp_count,
-            "beta": split.beta.values.tolist(),
-            "omega": split.omega.values.tolist(),
-            "gamma": split.gamma.values.tolist(),
+            "beta": split.beta.values,
+            "omega": split.omega.values,
+            "gamma": split.gamma.values,
             "diagnostics": split.diagnostics,
             "harmonic": hodge.harmonic_diagnostics(split.gamma, disc),
             "solver": split.solver,
@@ -156,8 +156,8 @@ def _cmd_stream(args) -> int:
     report = _base_report(args, checksum)
     report.update(
         {
-            "f": result.f.tolist(),
-            "omega": result.omega.values.tolist(),
+            "f": result.f,
+            "omega": result.omega.values,
             "residual": result.residual,
             "path_defect": result.path_defect,
         }

@@ -63,6 +63,10 @@ def builtin_form(
 ) -> Cochain:
     """Construct one of the built-in 1-forms on `disc`, whose mesh and complex
     are `mesh` and `cx`; deterministic given the seed."""
+    if mesh is not disc.mesh:
+        raise ConfigError("builtin_form: the mesh is not the discretization's (disc.mesh)")
+    if cx is not disc.cx:
+        raise ConfigError("builtin_form: the complex is not the discretization's (disc.cx)")
     if name not in BUILTIN_FORMS:
         raise ConfigError(f"unknown builtin form {name!r}; choose from {BUILTIN_FORMS}")
     if name == "dx":

@@ -7,6 +7,7 @@ one line with sorted keys, so identical runs produce byte-identical output.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from pathlib import Path
@@ -59,44 +60,79 @@ def legacy_mesh_checksum(mesh: TriMesh) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+_NOT_FINITE = "a value is not finite (NaN or infinity)"
+_NUMBER_FORMATS = {np.dtype(np.float64): "%r", np.dtype(np.int64): "%d"}
+
+
+def _array_text(a: np.ndarray) -> str:
+    """The text of json.dumps(a.tolist()) for a 1-D or 2-D float64 or int64
+    array: one row template, "[%r, %r]" say, repeated and applied to the flat
+    values at once, so that no Python list is built per row. `%r` of a float
+    and `%d` of an int are the digits json writes for them."""
+    spec = _NUMBER_FORMATS.get(a.dtype)
+    if spec is None or a.ndim not in (1, 2):
+        raise TypeError(f"cannot write a {a.ndim}-D {a.dtype} array; "
+                        "save_json takes 1-D or 2-D float64 or int64 arrays")
+    if spec == "%r" and not np.isfinite(a).all():
+        raise ValueError(_NOT_FINITE)
+    row = ", ".join([spec] * a.shape[-1])
+    if a.ndim == 2:
+        row = ", ".join(["[" + row + "]"] * a.shape[0])
+    return ("[" + row + "]") % tuple(a.ravel().tolist())
+
+
 def save_json(obj: dict, path) -> None:
     """Write obj as JSON; a value the encoder refuses (a NaN or infinite number,
     an int too long to print, a container that holds itself) is an error and
     nothing is written.
 
     The bytes are those of json.dumps(obj, sort_keys=True, allow_nan=False)
-    followed by a newline: one line, from json's C encoder. The value of each
-    key is written as its own piece, never joined into one text, which keeps
-    the peak memory of a large report down.
+    followed by a newline, with each top-level numpy array (1-D or 2-D,
+    float64 or int64) written as its tolist() would be: one line, from json's
+    C encoder and `_array_text`. The value of each key is written as its own
+    piece, never joined into one text, which keeps the peak memory of a large
+    report down.
     """
     encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
     try:
         if type(obj) is dict and obj and all(type(key) is str for key in obj):
             pieces = ["{"]
             for key in sorted(obj):
-                pieces += [encode(key), ": ", encode(obj[key]), ", "]
+                value = obj[key]
+                text = _array_text(value) if isinstance(value, np.ndarray) else encode(value)
+                pieces += [encode(key), ": ", text, ", "]
             pieces[-1] = "}\n"
         else:
             pieces = [encode(obj), "\n"]
     except ValueError as err:
         reason = str(err)
         if reason.startswith("Out of range float values"):  # the encoder's allow_nan message
-            reason = "a value is not finite (NaN or infinity)"
+            reason = _NOT_FINITE
         raise ConfigError(f"not writing {path}: {reason}") from None
     with open(path, "w") as fh:
         fh.writelines(pieces)
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    """Parse a JSON file with the cyclic garbage collector paused, then restore
+    its state. A parse builds only lists and dicts, which cannot form a cycle;
+    the one list per mesh row would otherwise trigger collector passes."""
+    text = Path(path).read_text()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.loads(text)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def save_mesh(mesh: TriMesh, path) -> None:
     save_json(
         {
             "curvature": float(mesh.curvature),
-            "vertices": mesh.vertices.tolist(),
-            "triangles": mesh.triangles.tolist(),
+            "vertices": mesh.vertices,
+            "triangles": mesh.triangles,
             "provenance": mesh.provenance,
         },
         path,
@@ -118,9 +154,10 @@ def _field(data: dict, key: str, path, what: str):
 
 
 def _array(data: dict, key: str, path, what: str, dtype=None) -> np.ndarray:
+    value = _field(data, key, path, what)
     try:
-        return np.array(_field(data, key, path, what), dtype=dtype)
-    except (TypeError, OverflowError) as err:
+        return np.array(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as err:  # ValueError: ragged rows
         raise ConfigError(f"{what} file {path}: field {key!r} is not a numeric array ({err})") from None
 
 
@@ -145,7 +182,7 @@ def save_cochain(c: Cochain, mesh: TriMesh, path) -> None:
     save_json(
         {
             "degree": c.degree,
-            "values": c.values.tolist(),
+            "values": c.values,
             "mesh_checksum": mesh_checksum(mesh),
         },
         path,

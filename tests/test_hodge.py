@@ -463,6 +463,19 @@ class TestRunParameters:
             hd.decompose(alpha, "h2", disc)
 
 
+class TestBuiltinForm:
+    def test_pieces_must_be_the_discretizations_own(self, discretize):
+        disc = discretize(1.0, 1.0, 0.2)
+        other = discretize(1.0, 1.5, 0.2)
+        with pytest.raises(ConfigError, match="mesh is not the discretization's"):
+            builtin_form("mixed", other.mesh, other.cx, disc, seed=1)
+        # equal arrays are not enough: the pieces must be the objects disc holds
+        with pytest.raises(ConfigError, match="mesh is not the discretization's"):
+            builtin_form("dx", hd.ball_mesh(1.0, 1.0, 0.2), disc.cx, disc)
+        with pytest.raises(ConfigError, match="complex is not the discretization's"):
+            builtin_form("dx", disc.mesh, hd.build_complex(disc.mesh), disc)
+
+
 class TestTruncation:
     @TINY
     def test_tiny_input_truncates_as_the_input_times_its_factor(self, discretize, factor):

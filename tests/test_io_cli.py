@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import importlib
 import json
@@ -14,6 +15,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hodgedec as hd
 from hodgedec import dec, geometry, hodge, io, weitzenbock
@@ -614,6 +616,21 @@ class TestMalformedFiles:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("target, key", [
+        ("mesh", "vertices"), ("mesh", "triangles"), ("cochain", "values"),
+    ])
+    def test_ragged_row_names_the_file_and_field(self, tmp_path, capsys, target, key):
+        mesh_path, form_path = _valid_files(tmp_path)
+        path = mesh_path if target == "mesh" else form_path
+        data = json.loads(path.read_text())
+        # a mesh row one entry short; a cochain entry that is a row of its own
+        data[key][1] = data[key][1][:-1] if target == "mesh" else [data[key][1]]
+        path.write_text(json.dumps(data))
+        code, out = _run_on(mesh_path, str(form_path), tmp_path)
+        assert code == 1
+        assert f"{target} file {path}: field {key!r} is not a numeric array" in capsys.readouterr().err
+        assert not out.exists()
+
 
 _json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-(2**70), 2**70), st.floats(), st.text(max_size=4),
@@ -740,6 +757,75 @@ class TestSaveJson:
         with pytest.raises(ConfigError, match="not finite"):
             io.save_json(_plant(doc, bad, path), out)
         assert not out.exists()
+
+
+_array_shapes = hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4)
+_float_arrays = hnp.arrays(np.float64, _array_shapes, elements=st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.1]),
+))
+_int_arrays = hnp.arrays(np.int64, _array_shapes, elements=st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([0, -1, 2**53 + 1, -(2**53) - 1, 2**63 - 1, -(2**63)]),
+))
+
+
+class TestSaveJsonArrays:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(doc=st.dictionaries(_edge_strings, _float_arrays | _int_arrays | _json_like, max_size=5))
+    def test_arrays_are_written_as_their_lists(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("json") / "doc.json"
+        io.save_json(doc, path)
+        plain = {key: v.tolist() if isinstance(v, np.ndarray) else v for key, v in doc.items()}
+        expected = json.dumps(plain, sort_keys=True, allow_nan=False) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(array=_float_arrays.filter(lambda a: a.size), bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+           index=st.integers(0, 10**6))
+    def test_non_finite_entry_anywhere_writes_nothing(self, tmp_path_factory, array, bad, index):
+        out = tmp_path_factory.mktemp("json") / "doc.json"
+        array = array.copy()
+        array.flat[index % array.size] = bad
+        with pytest.raises(ConfigError, match="not finite"):
+            io.save_json({"a": [1.0], "values": array}, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("array", [
+        np.zeros(3, np.int32), np.zeros(3, np.float32), np.zeros(2, bool), np.zeros((1, 1, 1)),
+    ], ids=["int32", "float32", "bool", "3-D"])
+    def test_other_arrays_are_refused(self, tmp_path, array):
+        out = tmp_path / "doc.json"
+        with pytest.raises(TypeError, match="float64 or int64"):
+            io.save_json({"a": array}, out)
+        assert not out.exists()
+
+
+class TestLoadJson:
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+    @pytest.mark.parametrize("text", ['{"a": [[1, 2.5]]}', '{"a": [[1, 2.5]'], ids=["valid", "truncated"])
+    def test_parses_with_the_collector_paused_and_restores_it(self, tmp_path, monkeypatch, enabled, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        during, parse = [], json.loads
+
+        def spy(*args, **kwargs):
+            during.append(gc.isenabled())
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", spy)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if text.endswith("}"):
+                assert io.load_json(path) == {"a": [[1, 2.5]]}
+            else:
+                with pytest.raises(json.JSONDecodeError):
+                    io.load_json(path)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False]
 
 
 def _holding_itself():
