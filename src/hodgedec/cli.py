@@ -81,10 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("truncate", help="cutoff truncation distances")
     p.add_argument("--radii", required=True, help="comma-separated cutoff scales")
-    p.add_argument("--mesh", default=None)
-    p.add_argument("--curvature", type=float, default=1.0)
-    p.add_argument("--radius", type=float, default=6.0)
-    p.add_argument("--edge", type=float, default=0.15)
+    p.add_argument("--mesh", required=True)
     p.add_argument("--form", default="builtin:dx")
     p.add_argument("--space", choices=("l2", "h1"), default="h1")
     p.add_argument("--out", required=True)
@@ -93,12 +90,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_form(name: str, disc: dec.Discretization, seed: int, checksum: str | None = None):
-    """A builtin form, or a cochain file checked against the mesh's checksum
-    (or its legacy checksum, for a file written before the array digest),
+    """A builtin form, or a cochain file checked against the mesh's checksum,
     hashed here when the caller has not."""
     if name.startswith("builtin:"):
         return forms.builtin_form(name.split(":", 1)[1], disc.mesh, disc.cx, disc, seed=seed)
-    return io.load_cochain(name, checksum or io.mesh_checksum(disc.mesh), disc.mesh)
+    return io.load_cochain(name, checksum or io.mesh_checksum(disc.mesh))
 
 
 def _base_report(args, checksum: str) -> dict:
@@ -232,7 +228,7 @@ def _cmd_truncate(args) -> int:
     if not radii:
         raise ConfigError("--radii needs at least one cutoff scale")
     check_cutoff_scales(radii)
-    mesh = io.load_mesh(args.mesh) if args.mesh else ball_mesh(args.curvature, args.radius, args.edge)
+    mesh = io.load_mesh(args.mesh)
     check_cutoff_scales(radii, mesh)
     disc = dec.discretize(mesh)
     checksum = io.mesh_checksum(mesh)

@@ -20,7 +20,6 @@ from .simplicial import Cochain
 
 __all__ = [
     "mesh_checksum",
-    "legacy_mesh_checksum",
     "save_mesh",
     "load_mesh",
     "save_cochain",
@@ -36,7 +35,7 @@ def mesh_checksum(mesh: TriMesh) -> str:
     the triangles (int64), all little-endian and C-ordered.
 
     Two meshes get equal digests exactly when their curvature and vertex bits
-    and their triangles are equal, as for `legacy_mesh_checksum`.
+    and their triangles are equal.
     """
     vertices = np.ascontiguousarray(mesh.vertices, dtype="<f8")
     triangles = np.ascontiguousarray(mesh.triangles, dtype="<i8")
@@ -46,18 +45,6 @@ def mesh_checksum(mesh: TriMesh) -> str:
     digest.update(vertices)
     digest.update(triangles)
     return digest.hexdigest()
-
-
-def legacy_mesh_checksum(mesh: TriMesh) -> str:
-    """The digest that cochain files carried before `mesh_checksum` hashed raw
-    arrays: sha256 of the mesh as compact, key-sorted JSON text."""
-    payload = {
-        "curvature": float(mesh.curvature),
-        "vertices": mesh.vertices.tolist(),
-        "triangles": mesh.triangles.tolist(),
-    }
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 _NOT_FINITE = "a value is not finite (NaN or infinity)"
@@ -189,17 +176,16 @@ def save_cochain(c: Cochain, mesh: TriMesh, path) -> None:
     )
 
 
-def load_cochain(path, checksum: str, mesh: TriMesh) -> Cochain:
-    """Read a cochain file stamped with `checksum`, the `mesh_checksum` of `mesh`,
-    or with the mesh's `legacy_mesh_checksum`, as files written before the
-    array digest were."""
+def load_cochain(path, checksum: str) -> Cochain:
+    """Read a cochain file stamped with `checksum`, the `mesh_checksum` of the
+    mesh it is to be used on."""
     data = _load_object(path, "cochain")
     degree = _field(data, "degree", path, "cochain")
     if isinstance(degree, bool) or not isinstance(degree, int):
         raise ConfigError(f"cochain file {path}: degree must be an integer")
     values = _array(data, "values", path, "cochain", dtype=float)
     stamp = str(_field(data, "mesh_checksum", path, "cochain"))
-    if stamp != checksum and stamp != legacy_mesh_checksum(mesh):
+    if stamp != checksum:
         raise ChecksumError(
             f"cochain file {path} was built against mesh {stamp[:12]}..., "
             f"not the supplied mesh {checksum[:12]}..."

@@ -204,17 +204,10 @@ class TestBallMesh:
         assert mesh.provenance["realized_radius"] == pytest.approx(1.0)
 
 
-# legacy_mesh_checksum of ball_mesh(a, rho, h), pinned so that any change to
-# the mesh bytes (face order, corner order, flipped edges) shows; each of these
-# meshes flips between 27 and 3,054 edges, the most at the wide ball (1, 6, 0.2)
-PINNED_MESHES = {
-    (1.0, 1.2, 0.15): "07ba98c51af2277f923762f4001a07282a84975768fe6cff5ee20048eb933343",
-    (1.0, 3.0, 0.3): "4e585a07a6288bb966ffc8a55913cf28fba9dc57247a5fd5ab8f140a1101268c",
-    (2.0, 2.0, 0.1): "ee3be1f1806251758e55fe18b08d2f9cfd8b8eefcdf5e9d21fa2afefccfc7d02",
-    (0.0, 1.0, 0.1): "13e210e9de6431b1b486084c2e2132a08cdf467cb0b50f64de6d54d7ebef31c9",
-    (1.0, 6.0, 0.2): "3f4381477483d0f61f798cd56e645ed9683d94fcc61ec6bfcbd92e5c90c66a59",
-}
-# mesh_checksum (the array digest) of the same meshes
+# mesh_checksum (the array digest) of ball_mesh(a, rho, h), pinned so that any
+# change to the mesh bytes (face order, corner order, flipped edges) shows; each
+# of these meshes flips between 27 and 3,054 edges, the most at the wide ball
+# (1, 6, 0.2)
 PINNED_MESHES_V2 = {
     (1.0, 1.2, 0.15): "dc75a579b77fec56e08ea7d1e8705a3e90969adcf12ab7c7dc32ccad0979f919",
     (1.0, 3.0, 0.3): "3a89b8275d8fc33423d65e265411a0ff6d3002c8d68e43be9255a21182dc4c73",
@@ -225,10 +218,9 @@ PINNED_MESHES_V2 = {
 
 
 class TestFlipPass:
-    @pytest.mark.parametrize("params", sorted(PINNED_MESHES))
+    @pytest.mark.parametrize("params", sorted(PINNED_MESHES_V2))
     def test_meshes_pinned_and_intrinsic_delaunay(self, params):
         mesh = hd.ball_mesh(*params)
-        assert io.legacy_mesh_checksum(mesh) == PINNED_MESHES[params]
         assert io.mesh_checksum(mesh) == PINNED_MESHES_V2[params]
         _, face_edges, counts = edge_table(mesh.triangles, mesh.num_vertices)
         _, lengths = edge_lengths(mesh.vertices, mesh.triangles, mesh.curvature)

@@ -53,7 +53,7 @@ class TestFiles:
         c = Cochain(1, rng.standard_normal(cx.num_edges))
         path = tmp_path / "form.json"
         io.save_cochain(c, mesh, path)
-        loaded = io.load_cochain(path, io.mesh_checksum(mesh), mesh)
+        loaded = io.load_cochain(path, io.mesh_checksum(mesh))
         assert loaded.degree == 1
         np.testing.assert_array_equal(loaded.values, c.values)
 
@@ -64,18 +64,12 @@ class TestFiles:
         io.save_cochain(c, mesh, path)
         other = hd.ball_mesh(1.0, 1.0, 0.25)
         with pytest.raises(ChecksumError):
-            io.load_cochain(path, io.mesh_checksum(other), other)
+            io.load_cochain(path, io.mesh_checksum(other))
 
     def test_checksum_pinned(self):
         # cochain files carry these digests; they must not change with the encoder
         flat = make_lattice_mesh()
         curved = hd.TriMesh(0.5 * flat.vertices, flat.triangles, 0.75)
-        assert io.legacy_mesh_checksum(flat) == (
-            "c2cd7e33344d95a2ea5fd0cbcccaac3939eb9ab9b50323e11d6cffa709cf3e70"
-        )
-        assert io.legacy_mesh_checksum(curved) == (
-            "aad33aefbc83c1fa97f06abf8d7e0d36240c840c7d87c3e5785d15edb8cb1863"
-        )
         assert io.mesh_checksum(flat) == (
             "4853268aa64a7e9fcb45f262e30c0a8f3661a81c773637759b3cc815ea949fce"
         )
@@ -85,7 +79,7 @@ class TestFiles:
 
     @pytest.mark.parametrize("change", ["ulp", "signed-zero", "curvature-ulp"])
     def test_checksum_sees_every_bit(self, change):
-        # both digests tell the meshes apart: float repr round-trips the bits
+        # the digest tells the meshes apart by their bits
         flat = make_lattice_mesh()
         base = hd.TriMesh(0.5 * flat.vertices, flat.triangles, 0.75)
         vertices, curvature = base.vertices.copy(), base.curvature
@@ -98,7 +92,6 @@ class TestFiles:
             curvature = float(np.nextafter(curvature, 1.0))
         other = hd.TriMesh(vertices, base.triangles, curvature)
         assert io.mesh_checksum(other) != io.mesh_checksum(base)
-        assert io.legacy_mesh_checksum(other) != io.legacy_mesh_checksum(base)
 
     def test_checksum_ignores_index_dtype_and_layout(self):
         mesh = make_lattice_mesh()
@@ -112,18 +105,6 @@ class TestFiles:
             raw = SimpleNamespace(vertices=wide, triangles=triangles, curvature=mesh.curvature)
             assert io.mesh_checksum(raw) == expected
             assert io.mesh_checksum(hd.TriMesh(wide, triangles, mesh.curvature)) == expected
-
-    def test_legacy_stamp_loads(self, small_mesh, tmp_path, rng):
-        mesh, cx, _, _ = small_mesh
-        c = Cochain(1, rng.standard_normal(cx.num_edges))
-        path = tmp_path / "form.json"
-        io.save_json({"degree": 1, "values": c.values.tolist(),
-                      "mesh_checksum": io.legacy_mesh_checksum(mesh)}, path)
-        loaded = io.load_cochain(path, io.mesh_checksum(mesh), mesh)
-        np.testing.assert_array_equal(loaded.values, c.values)
-        with pytest.raises(ChecksumError):
-            other = hd.ball_mesh(1.0, 1.0, 0.25)
-            io.load_cochain(path, io.mesh_checksum(other), other)
 
 
 class TestCli:
@@ -264,29 +245,29 @@ class TestCli:
                      "--out", str(tmp_path / "out.json")])
         assert code == 1
 
-    def test_legacy_stamped_cochain_loads(self, small_mesh, tmp_path):
-        # a cochain file written before the array digest carries the JSON-text one
-        mesh, cx, disc, mesh_path = small_mesh
-        form = hd.builtin_form("coexact", mesh, cx, disc, seed=2)
-        form_path = tmp_path / "form.json"
-        io.save_json({"degree": 1, "values": form.values.tolist(),
-                      "mesh_checksum": io.legacy_mesh_checksum(mesh)}, form_path)
-        for command in ("decompose", "stream"):
+    def test_json_text_stamp_rejected(self, discretize, tmp_path, capsys):
+        # the stamp of files written before the array digest: sha256 of the
+        # mesh as compact, key-sorted JSON text
+        disc = discretize(1.0, 3.0, 0.2)  # wide enough for the cutoff scale R = 1.2
+        mesh, mesh_path, form_path = disc.mesh, tmp_path / "mesh.json", tmp_path / "form.json"
+        io.save_mesh(mesh, mesh_path)
+        text = json.dumps({"curvature": mesh.curvature, "vertices": mesh.vertices.tolist(),
+                           "triangles": mesh.triangles.tolist()},
+                          sort_keys=True, separators=(",", ":"))
+        stamp = hashlib.sha256(text.encode()).hexdigest()
+        coexact = hd.builtin_form("coexact", mesh, disc.cx, disc, seed=1)
+        io.save_json({"degree": 1, "values": coexact.values, "mesh_checksum": stamp}, form_path)
+        with pytest.raises(ChecksumError):
+            io.load_cochain(form_path, io.mesh_checksum(mesh))
+        capsys.readouterr()
+        for command in ("decompose", "stream", "truncate"):
             out = tmp_path / f"{command}.json"
-            assert main([command, "--mesh", str(mesh_path), "--form", str(form_path),
-                         "--out", str(out)]) == 0
-            assert json.loads(out.read_text())["mesh_checksum"] == io.mesh_checksum(mesh)
-
-    def test_legacy_stamp_of_another_mesh_exit_code(self, small_mesh, tmp_path):
-        _, _, _, mesh_path = small_mesh
-        other = hd.ball_mesh(1.0, 1.0, 0.25)
-        form_path = tmp_path / "form.json"
-        io.save_json({"degree": 1, "values": [0.0] * hd.build_complex(other).num_edges,
-                      "mesh_checksum": io.legacy_mesh_checksum(other)}, form_path)
-        out = tmp_path / "out.json"
-        assert main(["decompose", "--mesh", str(mesh_path), "--form", str(form_path),
-                     "--out", str(out)]) == 1
-        assert not out.exists()
+            extra = ["--radii", "1.2"] if command == "truncate" else []
+            assert main([command, "--mesh", str(mesh_path), "--form", str(form_path), *extra,
+                         "--out", str(out)]) == 1
+            printed = capsys.readouterr()
+            assert f"was built against mesh {stamp[:12]}" in printed.err
+            assert printed.out == "" and not out.exists()
 
     def test_written_files_redump_to_themselves(self, tmp_path):
         mesh_path, form_path = tmp_path / "m.json", tmp_path / "form.json"
@@ -395,20 +376,43 @@ class TestCli:
         assert r1 < r0
 
     def test_truncate_distances_decrease(self, tmp_path):
-        out = tmp_path / "trunc.json"
-        assert main(["truncate", "--radii", "1.1,1.3,1.5", "--curvature", "1",
-                     "--radius", "3", "--edge", "0.15", "--form", "builtin:dx",
-                     "--out", str(out)]) == 0
+        mesh_path, out = tmp_path / "ball.json", tmp_path / "trunc.json"
+        assert main(["mesh", "--curvature", "1", "--radius", "3", "--edge", "0.15",
+                     "--out", str(mesh_path)]) == 0
+        assert main(["truncate", "--radii", "1.1,1.3,1.5", "--mesh", str(mesh_path),
+                     "--form", "builtin:dx", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         dists = [row["distance"] for row in payload["distances"]]
         assert dists[0] > dists[1] > dists[2]
 
-    def test_truncate_rejects_oversized_cutoff(self, tmp_path, monkeypatch):
+    def test_truncate_rejects_oversized_cutoff(self, tmp_path, monkeypatch, capsys):
+        mesh_path, out = tmp_path / "ball.json", tmp_path / "t.json"
+        assert main(["mesh", "--curvature", "1", "--radius", "3", "--edge", "0.15",
+                     "--out", str(mesh_path)]) == 0
         monkeypatch.setattr(dec, "assemble_stars", _unreachable)
-        code = main(["truncate", "--radii", "2.0", "--curvature", "1",
-                     "--radius", "3", "--edge", "0.15", "--form", "builtin:dx",
-                     "--out", str(tmp_path / "t.json")])
-        assert code == 1
+        assert main(["truncate", "--radii", "2.0", "--mesh", str(mesh_path),
+                     "--form", "builtin:dx", "--out", str(out)]) == 1
+        assert "exceeds the meshed radius" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--curvature", "--radius", "--edge"])
+    def test_truncate_takes_its_ball_only_from_mesh(self, small_mesh, tmp_path, monkeypatch,
+                                                    capsys, flag):
+        # the ball comes from --mesh alone: a meshing flag is a usage error
+        monkeypatch.setattr(io, "load_mesh", _unreachable)
+        out = tmp_path / "trunc.json"
+        assert main(["truncate", "--mesh", str(small_mesh[3]), flag, "2", "--radii", "1.2",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and flag in err and "usage:" in err
+        assert not out.exists()
+
+    def test_truncate_needs_mesh(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(geometry, "_place_rings", unreachable_placement)
+        out = tmp_path / "trunc.json"
+        assert main(["truncate", "--radii", "1.2", "--out", str(out)]) == 1
+        assert "--mesh" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _unreachable(*args, **kwargs):
@@ -515,13 +519,10 @@ class TestRunParameters:
 
     def test_cochain_file_checksummed_once(self, discretize, tmp_path, monkeypatch):
         disc = discretize(1.0, 3.0, 0.2)  # wide enough for the cutoff scale R = 1.2
-        path, form, legacy = tmp_path / "mesh.json", tmp_path / "form.json", tmp_path / "legacy.json"
+        path, form = tmp_path / "mesh.json", tmp_path / "form.json"
         io.save_mesh(disc.mesh, path)
         coexact = hd.builtin_form("coexact", disc.mesh, disc.cx, disc, seed=1)
         io.save_cochain(coexact, disc.mesh, form)
-        # a file stamped before the array digest is checked against the legacy one as well
-        io.save_json({**json.loads(form.read_text()),
-                      "mesh_checksum": io.legacy_mesh_checksum(disc.mesh)}, legacy)
         calls = []
 
         def counted(m):
@@ -530,13 +531,12 @@ class TestRunParameters:
 
         checksum = io.mesh_checksum
         monkeypatch.setattr(io, "mesh_checksum", counted)
-        for cochain in (form, legacy):
-            for command in ("decompose", "stream", "truncate"):
-                calls.clear()
-                extra = ["--radii", "1.2"] if command == "truncate" else []
-                assert main([command, "--mesh", str(path), "--form", str(cochain), *extra,
-                             "--out", str(tmp_path / f"{command}.json")]) == 0
-                assert len(calls) == 1
+        for command in ("decompose", "stream", "truncate"):
+            calls.clear()
+            extra = ["--radii", "1.2"] if command == "truncate" else []
+            assert main([command, "--mesh", str(path), "--form", str(form), *extra,
+                         "--out", str(tmp_path / f"{command}.json")]) == 0
+            assert len(calls) == 1
         calls.clear()
         assert main(["convergence", "--curvature", "1", "--radius", "1", "--levels", "1",
                      "--out", str(tmp_path / "conv.csv")]) == 0
