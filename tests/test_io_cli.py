@@ -30,6 +30,15 @@ from conftest import make_lattice_mesh, make_triangle_beside_torus, unreachable_
 VERIFY_TENSOR_SHA256 = "de1adc7f0a8e83c78129c82d7f85768e7c08cbc04adab2b2b3e2c351885b5e81"
 
 
+def json_text_stamp(mesh):
+    """The stamp of files written before the array digest: sha256 of the mesh
+    as compact, key-sorted JSON text."""
+    text = json.dumps({"curvature": mesh.curvature, "vertices": mesh.vertices.tolist(),
+                       "triangles": mesh.triangles.tolist()},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.fixture()
 def small_mesh(tmp_path, discretize):
     disc = discretize(1.0, 1.0, 0.2)
@@ -105,6 +114,15 @@ class TestFiles:
             raw = SimpleNamespace(vertices=wide, triangles=triangles, curvature=mesh.curvature)
             assert io.mesh_checksum(raw) == expected
             assert io.mesh_checksum(hd.TriMesh(wide, triangles, mesh.curvature)) == expected
+
+    def test_json_text_stamp_rejected(self, small_mesh, tmp_path, rng):
+        mesh, cx, _, _ = small_mesh
+        path = tmp_path / "form.json"
+        for stamped in (mesh, hd.ball_mesh(1.0, 1.0, 0.25)):
+            io.save_json({"degree": 1, "values": rng.standard_normal(cx.num_edges),
+                          "mesh_checksum": json_text_stamp(stamped)}, path)
+            with pytest.raises(ChecksumError):
+                io.load_cochain(path, io.mesh_checksum(mesh))
 
 
 class TestCli:
@@ -246,20 +264,12 @@ class TestCli:
         assert code == 1
 
     def test_json_text_stamp_rejected(self, discretize, tmp_path, capsys):
-        # the stamp of files written before the array digest: sha256 of the
-        # mesh as compact, key-sorted JSON text
         disc = discretize(1.0, 3.0, 0.2)  # wide enough for the cutoff scale R = 1.2
         mesh, mesh_path, form_path = disc.mesh, tmp_path / "mesh.json", tmp_path / "form.json"
         io.save_mesh(mesh, mesh_path)
-        text = json.dumps({"curvature": mesh.curvature, "vertices": mesh.vertices.tolist(),
-                           "triangles": mesh.triangles.tolist()},
-                          sort_keys=True, separators=(",", ":"))
-        stamp = hashlib.sha256(text.encode()).hexdigest()
+        stamp = json_text_stamp(mesh)
         coexact = hd.builtin_form("coexact", mesh, disc.cx, disc, seed=1)
         io.save_json({"degree": 1, "values": coexact.values, "mesh_checksum": stamp}, form_path)
-        with pytest.raises(ChecksumError):
-            io.load_cochain(form_path, io.mesh_checksum(mesh))
-        capsys.readouterr()
         for command in ("decompose", "stream", "truncate"):
             out = tmp_path / f"{command}.json"
             extra = ["--radii", "1.2"] if command == "truncate" else []
@@ -268,6 +278,18 @@ class TestCli:
             printed = capsys.readouterr()
             assert f"was built against mesh {stamp[:12]}" in printed.err
             assert printed.out == "" and not out.exists()
+
+    def test_json_text_stamp_of_another_mesh_exit_code(self, small_mesh, tmp_path, capsys):
+        _, _, _, mesh_path = small_mesh
+        other = hd.ball_mesh(1.0, 1.0, 0.25)
+        form_path, out = tmp_path / "form.json", tmp_path / "out.json"
+        io.save_json({"degree": 1, "values": [0.0] * hd.build_complex(other).num_edges,
+                      "mesh_checksum": json_text_stamp(other)}, form_path)
+        assert main(["decompose", "--mesh", str(mesh_path), "--form", str(form_path),
+                     "--out", str(out)]) == 1
+        printed = capsys.readouterr()
+        assert f"was built against mesh {json_text_stamp(other)[:12]}" in printed.err
+        assert printed.out == "" and not out.exists()
 
     def test_written_files_redump_to_themselves(self, tmp_path):
         mesh_path, form_path = tmp_path / "m.json", tmp_path / "form.json"
