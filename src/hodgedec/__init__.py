@@ -29,9 +29,7 @@ from .forms import builtin_form
 from .geometry import (
     TriMesh,
     ball_mesh,
-    cutoff_cochain,
     cutoff_profile,
-    distance,
     mesh_area,
     radial_distance,
 )

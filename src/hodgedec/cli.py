@@ -234,8 +234,7 @@ def _cmd_truncate(args) -> int:
     checksum = io.mesh_checksum(mesh)
     gamma = _load_form(args.form, disc, args.seed, checksum)
     tbl = []
-    for R in radii:
-        dist = hodge.truncation_distance(gamma, R, args.space, disc)
+    for R, dist in zip(radii, hodge.truncation_distance(gamma, radii, args.space, disc)):
         tbl.append({"R": R, "distance": dist})
         print(f"R={R}: |gamma - phi_R gamma| = {dist:.6g}")
     report = _base_report(args, checksum)

@@ -10,18 +10,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, MeshQualityError
 
-if TYPE_CHECKING:
-    from .simplicial import Cochain
-
 __all__ = [
     "TriMesh",
-    "distance",
     "pairwise_distances",
     "radial_distance",
     "model_radius",
@@ -29,7 +24,6 @@ __all__ = [
     "ball_mesh",
     "ball_ring_sizes",
     "cutoff_profile",
-    "cutoff_cochain",
     "check_cutoff_scales",
 ]
 
@@ -111,11 +105,6 @@ def pairwise_distances(p, q, a: float) -> np.ndarray:
     # Moebius-invariant form: d = (2/a) artanh(|p-q| / |1 - conj(p) q|)
     delta = np.abs(zp - zq) / np.abs(1.0 - np.conj(zp) * zq)
     return (2.0 / a) * np.arctanh(delta)
-
-
-def distance(p, q, a: float) -> float:
-    """Geodesic distance between two points at curvature -a**2."""
-    return float(pairwise_distances([p], [q], a)[0])
 
 
 def radial_distance(points, a: float) -> np.ndarray:
@@ -408,12 +397,3 @@ def check_cutoff_scales(radii, mesh: TriMesh | None = None) -> None:
     for R in radii:
         if 2.0 * R > rho_max * (1.0 + 1e-12):
             raise DomainError(f"cutoff support 2R = {2 * R} exceeds the meshed radius {rho_max:.6g}")
-
-
-def cutoff_cochain(mesh: TriMesh, R: float) -> "Cochain":
-    """Vertex cochain phi_R(v) = phi(rho(v) / R) for a finite scale R > 1."""
-    from .simplicial import Cochain
-
-    check_cutoff_scales([R])
-    rho = radial_distance(mesh.vertices, mesh.curvature)
-    return Cochain(0, cutoff_profile(rho / R))

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from . import dec
 from .dec import Discretization
 from .errors import ConfigError, DegreeError, PreconditionError
-from .geometry import check_cutoff_scales, cutoff_cochain, edge_faces
+from .geometry import check_cutoff_scales, cutoff_profile, edge_faces, radial_distance
 from .simplicial import Cochain, apply_d
 
 __all__ = [
@@ -310,18 +310,23 @@ def stream_function(v: Cochain, disc: Discretization, tol: float = 1e-10) -> Str
     return StreamResult(np.ldexp(f, e), Cochain(2, np.ldexp(omega.values, e)), float(res), path_defect)
 
 
-def truncation_distance(gamma: Cochain, R: float, space: str, disc: Discretization) -> float:
-    """Distance |gamma - phi_R gamma| in the chosen norm.
+def truncation_distance(gamma: Cochain, radii, space: str, disc: Discretization) -> list[float]:
+    """Distances |gamma - phi_R gamma| in the chosen norm, one per scale R in radii.
 
-    phi_R multiplies each edge value by the mean of the cutoff at the edge
-    endpoints. Requires a finite R > 1 whose support scale 2R stays inside the
-    meshed ball.
+    phi_R gamma multiplies each edge value by the mean of phi_R(v) =
+    cutoff_profile(rho(v) / R) at the edge endpoints. gamma and the scales are
+    checked once, before any distance: each R finite and above 1, with its
+    support scale 2R inside the meshed ball.
     """
     cx = disc.cx
-    # the distance of gamma * 2**-e, scaled back by 2**e
+    # the distances of gamma * 2**-e, scaled back by 2**e
     gamma, e, _ = _check_edge_values(gamma, disc, "truncation distance")
-    check_cutoff_scales([R], disc.mesh)
-    phi = cutoff_cochain(disc.mesh, R).values
-    edge_factor = 0.5 * (phi[cx.edges[:, 0]] + phi[cx.edges[:, 1]])
-    diff = Cochain(1, gamma.values - edge_factor * gamma.values)
-    return float(np.ldexp(dec.norm(diff, space, disc), e))
+    check_cutoff_scales(radii, disc.mesh)
+    rho = radial_distance(disc.mesh.vertices, disc.mesh.curvature)
+    dists = []
+    for R in radii:
+        phi = cutoff_profile(rho / R)
+        edge_factor = 0.5 * (phi[cx.edges[:, 0]] + phi[cx.edges[:, 1]])
+        diff = Cochain(1, gamma.values - edge_factor * gamma.values)
+        dists.append(float(np.ldexp(dec.norm(diff, space, disc), e)))
+    return dists

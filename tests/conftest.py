@@ -14,6 +14,16 @@ def unreachable_placement(a, h, sizes):
     raise AssertionError("ring placement reached for parameters that must be rejected")
 
 
+def counted(calls, key, fn):
+    """fn, adding one to calls[key] on each call."""
+
+    def wrapper(*args, **kwargs):
+        calls[key] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 @pytest.fixture(scope="session")
 def discretize():
     """Cached factory: (a, rho_max, h) -> the Discretization of that ball."""

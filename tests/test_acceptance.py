@@ -246,13 +246,13 @@ def test_criterion_9_cutoff_and_truncation(discretize):
     worst_slope = 0.0
     for R in radii:
         assert 0.15 <= R / 10  # the regime h <= R/10 the bound is stated for
-        phi = hd.cutoff_cochain(mesh, R).values
+        phi = hd.cutoff_profile(hd.radial_distance(mesh.vertices, mesh.curvature) / R)
         slopes = np.abs(phi[edges[:, 1]] - phi[edges[:, 0]]) / lengths
         worst_slope = max(worst_slope, slopes.max() * R / 2.0)
         slope_ok = slope_ok and slopes.max() <= 2.0 / R + 1e-12
     gamma = coordinate_form(mesh, cx)
     space = "h1"
-    dists = [hd.truncation_distance(gamma, R, space, disc) for R in radii]
+    dists = hd.truncation_distance(gamma, radii, space, disc)
     trend_ok = dists[0] > dists[1] > dists[2]
     report(
         9,

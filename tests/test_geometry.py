@@ -9,6 +9,7 @@ import hodgedec as hd
 from hodgedec import geometry, io
 from hodgedec.errors import ConfigError, DomainError
 from hodgedec.geometry import _triangle_areas_hyperbolic, edge_table, heron_area
+from hodgedec.simplicial import Cochain
 
 from conftest import unreachable_placement
 
@@ -70,25 +71,24 @@ def radial_reference(points, a):
 
 class TestDistance:
     def test_coincident(self):
-        assert hd.distance((0, 0), (0, 0), 1.0) == 0.0
+        assert geometry.pairwise_distances([(0, 0)], [(0, 0)], 1.0).tolist() == [0.0]
 
     def test_flat_3_4_5(self):
-        assert hd.distance((0, 0), (0.3, 0.4), 0.0) == pytest.approx(0.5, rel=1e-15)
+        assert geometry.pairwise_distances([(0, 0)], [(0.3, 0.4)], 0.0)[0] == pytest.approx(0.5, rel=1e-15)
 
     def test_radial_log3(self):
         assert radial_integral_oracle(0.5) == pytest.approx(LN3, rel=1e-7)
-        assert hd.distance((0, 0), (0.5, 0), 1.0) == pytest.approx(LN3, rel=1e-12)
+        assert geometry.pairwise_distances([(0, 0)], [(0.5, 0)], 1.0)[0] == pytest.approx(LN3, rel=1e-12)
 
     def test_curvature_rescales_lengths(self):
-        d1 = hd.distance((0.1, 0.2), (-0.3, 0.4), 1.0)
-        d2 = hd.distance((0.1, 0.2), (-0.3, 0.4), 2.0)
+        d1, d2 = (geometry.pairwise_distances([(0.1, 0.2)], [(-0.3, 0.4)], a)[0] for a in (1.0, 2.0))
         assert d2 == pytest.approx(d1 / 2, rel=1e-12)
 
     def test_outside_disk_rejected(self):
         with pytest.raises(DomainError):
-            hd.distance((0, 0), (1.0, 0.0), 1.0)
+            geometry.pairwise_distances([(0, 0)], [(1.0, 0.0)], 1.0)
         # same point is fine on the plane
-        assert hd.distance((0, 0), (1.0, 0.0), 0.0) == 1.0
+        assert geometry.pairwise_distances([(0, 0)], [(1.0, 0.0)], 0.0).tolist() == [1.0]
 
     @pytest.mark.parametrize("a", [0.0, 1e-3, 0.5, 1.0, 2.5])
     def test_radial_distance_is_bitwise_the_two_branch_formula(self, rng, a):
@@ -111,9 +111,9 @@ class TestDistance:
     )
     def test_symmetry_and_triangle_inequality(self, data, a):
         p, q, r = (data[0], data[1]), (data[2], data[3]), (data[4], data[5])
-        dpq = hd.distance(p, q, a)
-        assert dpq == pytest.approx(hd.distance(q, p, a), abs=1e-12)
-        assert dpq <= hd.distance(p, r, a) + hd.distance(r, q, a) + 1e-9
+        dpq, dqp, dpr, drq = geometry.pairwise_distances([p, q, p, r], [q, p, r, q], a)
+        assert dpq == pytest.approx(dqp, abs=1e-12)
+        assert dpq <= dpr + drq + 1e-9
 
 
 class TestTriangleArea:
@@ -130,7 +130,7 @@ class TestTriangleArea:
         u = ((3 - d2) - math.sqrt((3 - d2) ** 2 - 4 * d2 * d2)) / (2 * d2)
         r0 = math.sqrt(u)
         pts = [r0 * np.exp(2j * math.pi * k / 3) for k in range(3)]
-        side = hd.distance((pts[0].real, pts[0].imag), (pts[1].real, pts[1].imag), 1.0)
+        side = geometry.pairwise_distances([(pts[0].real, pts[0].imag)], [(pts[1].real, pts[1].imag)], 1.0)[0]
         assert side == pytest.approx(1.0, rel=1e-12)
         assert angle_defect_oracle(pts) == pytest.approx(EQUILATERAL_HYP_AREA, rel=1e-12)
         assert _triangle_areas_hyperbolic(1, 1, 1, 1.0) == pytest.approx(EQUILATERAL_HYP_AREA, rel=1e-12)
@@ -416,27 +416,32 @@ class TestCutoff:
     def test_vertex_values(self, discretize):
         mesh = discretize(1.0, 3.0, 0.2).mesh
         R = 1.2
-        phi = hd.cutoff_cochain(mesh, R)
         rho = hd.radial_distance(mesh.vertices, 1.0)
-        assert np.all(phi.values[rho <= R] == 1.0)
-        assert np.all(phi.values[rho >= 2 * R] == 0.0)
+        phi = hd.cutoff_profile(rho / R)
+        assert np.all(phi[rho <= R] == 1.0)
+        assert np.all(phi[rho >= 2 * R] == 0.0)
 
     def test_requires_scale_above_one(self, discretize):
-        mesh = discretize(1.0, 3.0, 0.2).mesh
-        with pytest.raises(DomainError):
-            hd.cutoff_cochain(mesh, 1.0)
+        # one bad scale rejects the whole call, wherever it stands
+        disc = discretize(1.0, 3.0, 0.2)
+        gamma = Cochain(1, np.ones(disc.cx.num_edges))
+        with pytest.raises(DomainError, match="exceed 1"):
+            hd.truncation_distance(gamma, [1.2, 1.0], "l2", disc)
+        with pytest.raises(DomainError, match="meshed radius"):
+            hd.truncation_distance(gamma, [1.2, 1.7], "l2", disc)  # 2R > rho_max
 
     @pytest.mark.parametrize("R", [float("nan"), float("inf")])
     def test_requires_finite_scale(self, discretize, R):
-        mesh = discretize(1.0, 3.0, 0.2).mesh
+        disc = discretize(1.0, 3.0, 0.2)
+        gamma = Cochain(1, np.ones(disc.cx.num_edges))
         with pytest.raises(DomainError, match="finite"):
-            hd.cutoff_cochain(mesh, R)
+            hd.truncation_distance(gamma, [1.2, R], "l2", disc)
 
     def test_per_edge_slope_bound(self, discretize):
         # discrete form of the gradient bound |grad phi_R| <= 2/R, h <= R/10
         mesh = discretize(1.0, 3.0, 0.1).mesh
         edges, lengths = edge_lengths(mesh.vertices, mesh.triangles, mesh.curvature)
         for R in (1.2, 1.5):
-            phi = hd.cutoff_cochain(mesh, R).values
+            phi = hd.cutoff_profile(hd.radial_distance(mesh.vertices, mesh.curvature) / R)
             slopes = np.abs(phi[edges[:, 1]] - phi[edges[:, 0]]) / lengths
             assert slopes.max() <= 2.0 / R + 1e-12

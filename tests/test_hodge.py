@@ -7,8 +7,10 @@ import hodgedec as hd
 from hodgedec import dec
 from hodgedec.errors import ConfigError, DomainError, PreconditionError
 from hodgedec.forms import builtin_form, coordinate_form
-from hodgedec.hodge import _optimality_terms
+from hodgedec.hodge import _check_edge_values, _optimality_terms
 from hodgedec.simplicial import Cochain
+
+from conftest import counted
 
 
 # factors that make the squared norms of a unit-size input underflow; a power
@@ -411,7 +413,7 @@ class TestNonFiniteCochains:
     def test_truncation_distance_rejects_nan(self, discretize):
         gamma, disc = _coexact_with_nan(discretize)
         with pytest.raises(ConfigError, match="finite"):
-            hd.truncation_distance(gamma, 1.2, "h1", disc)
+            hd.truncation_distance(gamma, [1.2], "h1", disc)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_decompose_rejects_overflowing_norm(self, discretize, monkeypatch):
@@ -483,15 +485,15 @@ class TestTruncation:
         disc = discretize(1.0, 3.0, 0.3)
         dx = coordinate_form(disc.mesh, disc.cx)
         for space in ("l2", "h1"):
-            base = hd.truncation_distance(dx, 1.2, space, disc)
-            got = hd.truncation_distance(Cochain(1, dx.values * factor), 1.2, space, disc)
+            base = hd.truncation_distance(dx, [1.2, 1.4], space, disc)
+            got = hd.truncation_distance(Cochain(1, dx.values * factor), [1.2, 1.4], space, disc)
             assert_scaled(got, base, factor)
 
     def test_zero_gamma(self, discretize):
         disc = discretize(1.0, 3.0, 0.2)
         cx = disc.cx
         space = "h1"
-        assert hd.truncation_distance(Cochain(1, np.zeros(cx.num_edges)), 1.2, space, disc) == 0.0
+        assert hd.truncation_distance(Cochain(1, np.zeros(cx.num_edges)), [1.2, 1.4], space, disc) == [0.0, 0.0]
 
     def test_supported_inside_cutoff(self, discretize):
         disc = discretize(1.0, 3.0, 0.2)
@@ -500,7 +502,7 @@ class TestTruncation:
         inside = (rho[cx.edges[:, 0]] <= 1.0) & (rho[cx.edges[:, 1]] <= 1.0)
         gamma = Cochain(1, np.where(inside, 1.0, 0.0))
         space = "l2"
-        assert hd.truncation_distance(gamma, 1.2, space, disc) == 0.0
+        assert hd.truncation_distance(gamma, [1.2], space, disc) == [0.0]
 
     def test_domain_checks(self, discretize):
         disc = discretize(1.0, 3.0, 0.2)
@@ -508,9 +510,9 @@ class TestTruncation:
         space = "l2"
         g = Cochain(1, np.zeros(cx.num_edges))
         with pytest.raises(DomainError):
-            hd.truncation_distance(g, 1.0, space, disc)
+            hd.truncation_distance(g, [1.0], space, disc)
         with pytest.raises(DomainError):
-            hd.truncation_distance(g, 1.7, space, disc)  # 2R > rho_max
+            hd.truncation_distance(g, [1.7], space, disc)  # 2R > rho_max
 
     @pytest.mark.parametrize("R", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_scale_rejected_first(self, discretize, monkeypatch, R):
@@ -519,7 +521,7 @@ class TestTruncation:
         g = Cochain(1, np.ones(cx.num_edges))
         monkeypatch.setattr(hd.geometry, "radial_distance", _no_work)
         with pytest.raises(DomainError, match="finite"):
-            hd.truncation_distance(g, R, "h1", disc)
+            hd.truncation_distance(g, [R], "h1", disc)
 
     def test_distances_decrease_and_bracket_tail_mass(self, discretize):
         disc = discretize(1.0, 6.0, 0.2)
@@ -533,8 +535,39 @@ class TestTruncation:
             vals = np.where(beyond, dx.values, 0.0)
             return dec.norm(Cochain(1, vals), space, disc)
 
-        dists = [hd.truncation_distance(dx, R, space, disc) for R in (1.5, 2.0, 2.5)]
+        dists = hd.truncation_distance(dx, (1.5, 2.0, 2.5), space, disc)
         assert dists[0] > dists[1] > dists[2]
         for R, dist in zip((1.5, 2.0, 2.5), dists):
             # tail-mass oracle: phi_R = 0 beyond 2R and = 1 inside R
             assert tail(2 * R) <= dist <= tail(R - 0.2) + 1e-12
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0**-600], ids=["1", "2**-600"])
+    def test_one_pass_is_bitwise_the_per_scale_computation(self, discretize, factor):
+        disc = discretize(1.0, 6.0, 0.2)
+        mesh, cx = disc.mesh, disc.cx
+        gamma = Cochain(1, coordinate_form(mesh, cx).values * factor)
+        radii = (1.5, 2.0, 2.5)
+        for space in ("l2", "h1"):
+            want = []
+            for R in radii:
+                # the reference redoes the checks and the radial distances for each scale
+                g, e, _ = _check_edge_values(gamma, disc, "truncation distance")
+                hd.geometry.check_cutoff_scales([R], mesh)
+                phi = hd.cutoff_profile(hd.radial_distance(mesh.vertices, mesh.curvature) / R)
+                edge_factor = 0.5 * (phi[cx.edges[:, 0]] + phi[cx.edges[:, 1]])
+                diff = Cochain(1, g.values - edge_factor * g.values)
+                want.append(float(np.ldexp(dec.norm(diff, space, disc), e)))
+            assert hd.truncation_distance(gamma, radii, space, disc) == want
+
+    def test_one_call_checks_once_for_every_scale(self, discretize, monkeypatch):
+        disc = discretize(1.0, 3.0, 0.2)
+        gamma = coordinate_form(disc.mesh, disc.cx)
+        calls = {"gate": 0, "radial": 0}
+        radial = counted(calls, "radial", hd.geometry.radial_distance)
+        monkeypatch.setattr(hd.geometry, "radial_distance", radial)
+        monkeypatch.setattr(hd.hodge, "radial_distance", radial)
+        monkeypatch.setattr(hd.hodge, "_check_edge_values", counted(calls, "gate", _check_edge_values))
+        radii = (1.1, 1.2, 1.3, 1.4, 1.45)
+        assert len(hd.truncation_distance(gamma, radii, "h1", disc)) == len(radii)
+        assert calls["gate"] == 1
+        assert calls["radial"] <= 2  # the domain check and the cutoff profile

@@ -23,7 +23,7 @@ from hodgedec.cli import main
 from hodgedec.errors import ChecksumError, ConfigError
 from hodgedec.simplicial import Cochain
 
-from conftest import make_lattice_mesh, make_triangle_beside_torus, unreachable_placement
+from conftest import counted, make_lattice_mesh, make_triangle_beside_torus, unreachable_placement
 
 # sha256 of the report of `verify-tensor --max-dim 5 --trials 2 --seed 7 --deterministic`,
 # re-dumped with indent 2: the suite is exact, so its report is the same everywhere
@@ -406,6 +406,23 @@ class TestCli:
         payload = json.loads(out.read_text())
         dists = [row["distance"] for row in payload["distances"]]
         assert dists[0] > dists[1] > dists[2]
+
+    def test_truncate_checks_once_per_stage(self, tmp_path, monkeypatch):
+        mesh_path, out = tmp_path / "ball.json", tmp_path / "trunc.json"
+        assert main(["mesh", "--curvature", "1", "--radius", "3", "--edge", "0.15",
+                     "--out", str(mesh_path)]) == 0
+        calls = {"gate": 0, "radial": 0, "scales": 0}
+        radial = counted(calls, "radial", geometry.radial_distance)
+        scales = counted(calls, "scales", geometry.check_cutoff_scales)
+        monkeypatch.setattr(hodge, "_check_edge_values", counted(calls, "gate", hodge._check_edge_values))
+        for module in (geometry, hodge):
+            monkeypatch.setattr(module, "radial_distance", radial)
+        for module in (geometry, hodge, sys.modules["hodgedec.cli"]):
+            monkeypatch.setattr(module, "check_cutoff_scales", scales)
+        assert main(["truncate", "--radii", "1.1,1.3,1.5", "--mesh", str(mesh_path),
+                     "--form", "builtin:dx", "--out", str(out)]) == 0
+        # after parsing, before the discretization, and once in truncation_distance
+        assert calls["gate"] == 1 and calls["radial"] <= 3 and calls["scales"] <= 3
 
     def test_truncate_rejects_oversized_cutoff(self, tmp_path, monkeypatch, capsys):
         mesh_path, out = tmp_path / "ball.json", tmp_path / "t.json"
