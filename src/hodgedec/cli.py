@@ -224,10 +224,7 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_truncate(args) -> int:
     t0 = time.time()
-    radii = [float(r) for r in args.radii.split(",") if r]
-    if not radii:
-        raise ConfigError("--radii needs at least one cutoff scale")
-    check_cutoff_scales(radii)
+    radii = check_cutoff_scales(float(r) for r in args.radii.split(",") if r)
     mesh = io.load_mesh(args.mesh)
     check_cutoff_scales(radii, mesh)
     disc = dec.discretize(mesh)

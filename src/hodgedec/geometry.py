@@ -8,6 +8,7 @@ dimensionless model coordinates while lengths carry the 1/a scale.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -19,7 +20,6 @@ __all__ = [
     "TriMesh",
     "pairwise_distances",
     "radial_distance",
-    "model_radius",
     "mesh_area",
     "ball_mesh",
     "ball_ring_sizes",
@@ -112,15 +112,6 @@ def radial_distance(points, a: float) -> np.ndarray:
     return pairwise_distances(points, (0.0, 0.0), a)
 
 
-def model_radius(rho: float, a: float) -> float:
-    """Model-coordinate radius of the geodesic circle of radius rho."""
-    if rho < 0:
-        raise DomainError("geodesic radius must be >= 0")
-    if a == 0.0:
-        return rho
-    return math.tanh(a * rho / 2.0)
-
-
 def heron_area(l1, l2, l3):
     """Areas of flat triangles from their side lengths (Heron's formula)."""
     s = (l1 + l2 + l3) / 2.0
@@ -187,31 +178,6 @@ def mesh_area(mesh: TriMesh) -> float:
     return float(np.sum(_triangle_areas_hyperbolic(l1, l2, l3, a)))
 
 
-def _ring_sizes(a: float, rho_max: float, h: float) -> list[int]:
-    """Vertex count of each ring; ConfigError before any placement past MAX_VERTICES.
-
-    Rings hold at least 6 vertices each, and past a * r = 50 one ring alone
-    holds more than 2*pi*sinh(50)/50 > 1e20, so sinh never overflows.
-    """
-    too_big = ConfigError(f"the ball would have more than {MAX_VERTICES} vertices; use a "
-                          "larger edge length, a smaller radius or a smaller curvature")
-    if rho_max / h > MAX_VERTICES / 6:
-        raise too_big
-    sizes, total = [], 1
-    for i in range(1, round(rho_max / h) + 1):
-        if a == 0.0:
-            m = round(2.0 * math.pi * i)
-        elif a * i * h > 50.0:
-            raise too_big
-        else:
-            m = round(2.0 * math.pi * math.sinh(a * i * h) / (a * h))
-        total += m
-        if total > MAX_VERTICES:
-            raise too_big
-        sizes.append(int(m))
-    return sizes
-
-
 def ball_ring_sizes(a: float, rho_max: float, h: float) -> list[int]:
     """The ring sizes of `ball_mesh(a, rho_max, h)`, after every check it makes
     on its parameters and on the vertex cap; nothing is allocated."""
@@ -230,14 +196,33 @@ def ball_ring_sizes(a: float, rho_max: float, h: float) -> list[int]:
     diameter = 2.0 * (rho_max + h)  # bounds every length the law of cosines squares
     if not math.isfinite(diameter * diameter):
         raise ConfigError("radius too large: squared edge lengths would overflow")
-    return _ring_sizes(a, rho_max, h)
+    too_big = ConfigError(f"the ball would have more than {MAX_VERTICES} vertices; use a "
+                          "larger edge length, a smaller radius or a smaller curvature")
+    if rho_max / h > MAX_VERTICES / 6:
+        raise too_big
+    sizes, total = [], 1
+    for i in range(1, round(rho_max / h) + 1):
+        # rings hold at least 6 vertices each, and past a * r = 50 one ring alone
+        # holds more than 2*pi*sinh(50)/50 > 1e20, so sinh never overflows
+        if a == 0.0:
+            m = round(2.0 * math.pi * i)
+        elif a * i * h > 50.0:
+            raise too_big
+        else:
+            m = round(2.0 * math.pi * math.sinh(a * i * h) / (a * h))
+        total += m
+        if total > MAX_VERTICES:
+            raise too_big
+        sizes.append(int(m))
+    return sizes
 
 
 def _place_rings(a: float, h: float, sizes: list[int]) -> np.ndarray:
     """The center, then ring i at geodesic radius i*h, uniform in angle."""
     points = [np.zeros((1, 2))]
     for i, m in enumerate(sizes, start=1):
-        r = model_radius(i * h, a)
+        # the model radius of the geodesic circle of radius i*h
+        r = i * h if a == 0.0 else math.tanh(a * (i * h) / 2.0)
         theta = 2.0 * np.pi * np.arange(m) / m + _TWIST * i
         points.append(np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1))
     return np.concatenate(points)
@@ -387,13 +372,27 @@ def cutoff_profile(t):
     return out if out.ndim else float(out)
 
 
-def check_cutoff_scales(radii, mesh: TriMesh | None = None) -> None:
-    """Reject a cutoff scale R that is not finite and above 1 and, given the
-    mesh, one whose support 2R leaves the meshed ball."""
+def check_cutoff_scales(radii, mesh: TriMesh | None = None) -> list[float]:
+    """The cutoff scales, read once, as a list of floats.
+
+    radii that are not a non-empty collection of real numbers are a
+    ConfigError; a scale R that is not finite and above 1 or, given the mesh,
+    whose support 2R leaves the meshed ball is a DomainError.
+    """
+    try:
+        radii = list(radii)
+    except TypeError:
+        raise ConfigError(f"cutoff scales must be a collection of numbers, got {radii!r}") from None
+    if not radii:
+        raise ConfigError("at least one cutoff scale R is needed")
     for R in radii:
+        if not isinstance(R, numbers.Real):
+            raise ConfigError(f"cutoff scale R must be a real number, got {R!r}")
         if not (math.isfinite(R) and R > 1.0):
             raise DomainError(f"cutoff scale R must be finite and exceed 1, got {R!r}")
+    radii = [float(R) for R in radii]
     rho_max = math.inf if mesh is None else float(radial_distance(mesh.vertices, mesh.curvature).max())
     for R in radii:
         if 2.0 * R > rho_max * (1.0 + 1e-12):
             raise DomainError(f"cutoff support 2R = {2 * R} exceeds the meshed radius {rho_max:.6g}")
+    return radii

@@ -80,88 +80,74 @@ def _check_edge_values(c: Cochain, disc: Discretization, what: str, space: str =
     return c, e, sq
 
 
-def _potential_maps(disc: Discretization):
-    """Interior vertex and face indices vi, fi with P = d0[:, vi], Q = delta_2[:, fi]."""
+def _potential_maps(disc: Discretization) -> dict:
+    """The two potential blocks of a split, "vertex" then "face": each block's
+    interior mask and its map M, d0 on the interior vertices and delta_2 on the
+    interior faces."""
     cx = disc.cx
-    vi = np.flatnonzero(cx.interior_vertices)
-    fi = np.flatnonzero(cx.interior_faces)
-    if vi.size == 0 or fi.size == 0:
+    if not (cx.interior_vertices.any() and cx.interior_faces.any()):
         raise ConfigError("degenerate mesh: no interior vertices or faces to carry potentials")
-    P = cx.d0.tocsc()[:, vi].tocsr()
     # delta_2 = star1^-1 d1^T star2, the sign fixed by adjointness
     delta2 = sp.diags(1.0 / disc.star1) @ cx.d1.T @ sp.diags(disc.star2)
-    Q = delta2.tocsc()[:, fi].tocsr()
-    return vi, fi, P, Q
-
-
-def _optimality_terms(x: np.ndarray, P, Q, star1: np.ndarray) -> np.ndarray:
-    """Norms of P^T star1 x and Q^T star1 x.
-
-    Both vanish at x = gamma for the exact L2 split. Given |alpha|, |P| and |Q|
-    they are the cancellation-aware sizes of the right-hand sides.
-    """
-    w = star1 * x
-    return np.array([np.linalg.norm(P.T @ w), np.linalg.norm(Q.T @ w)])
-
-
-def _solve_block(M, s1, s1_alpha: np.ndarray, tol: float, floor: float):
-    """Solve the normal equations M^T s1 M x = M^T s1 alpha of one potential
-    block; x and the block's solver statistics."""
-    A = (M.T @ (s1 @ M).tocsc()).tocsr()
-    sol = dec.solve_spd(A, M.T @ s1_alpha, tol, residual_floor=floor)
-    stats = {
-        "size": sol.x.size,
-        "nnz": A.nnz,
-        "levels": sol.levels,
-        "iterations": sol.iterations,
-        "residual": sol.residual,
-    }
-    return sol.x, stats
+    blocks = {"vertex": (cx.interior_vertices, cx.d0), "face": (cx.interior_faces, delta2)}
+    return {name: (interior, M.tocsc()[:, np.flatnonzero(interior)].tocsr())
+            for name, (interior, M) in blocks.items()}
 
 
 def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-10) -> HodgeSplit:
     """Split a 1-cochain into exact, co-exact and harmonic parts.
 
     Solves the L2 least-squares problem over interior potentials by conjugate
-    gradients on the two decoupled block normal equations; gamma is the
-    remainder. L2 optimality makes gamma closed and co-closed on the interior,
-    which cancels every H1 cross term, so this is also the H1 split: `space`
-    ("l2" or "h1") only selects the inner product of the diagnostics, and
-    `tol` is the conjugate-gradient tolerance of both blocks.
+    gradients on the two decoupled block normal equations M^T star1 M x =
+    M^T star1 alpha, one per block of _potential_maps, vertex first; gamma is
+    the remainder. L2 optimality makes gamma closed and co-closed on the
+    interior, which cancels every H1 cross term, so this is also the H1 split:
+    `space` ("l2" or "h1") only selects the inner product of the diagnostics,
+    and `tol` is the conjugate-gradient tolerance of both blocks.
 
     The diagnostics hold the norms of alpha and its three parts, the
-    reconstruction residual (see _optimality_terms), the pairings of d beta and
-    delta omega with gamma and the larger of the two relative to |alpha|^2
-    (<d beta, delta omega> is round-off by dd = 0 and delta delta = 0, so it is
-    not kept), and the Pythagoras defect relative to |alpha|^2. The solver
-    block holds, for "vertex" and "face": size, nnz, levels (0 = Jacobi),
-    iterations and residual.
+    reconstruction residual (the larger over the blocks of |M^T star1 gamma|,
+    zero for the exact split, over its scale |(|M|^T star1 |alpha|)|), the
+    pairings of d beta and delta omega with gamma and the larger of the two
+    relative to |alpha|^2 (<d beta, delta omega> is round-off by dd = 0 and
+    delta delta = 0, so it is not kept), and the Pythagoras defect relative to
+    |alpha|^2. The solver block holds, for "vertex" and "face": size, nnz,
+    levels (0 = Jacobi), iterations and residual.
     """
-    cx = disc.cx
     # the split of alpha * 2**-e, scaled back by 2**e
     alpha, e, sq = _check_edge_values(alpha, disc, "decompose", space)
     norm_alpha = math.sqrt(max(sq, 0.0))
 
-    vi, fi, P, Q = _potential_maps(disc)
     s1 = sp.diags(disc.star1).tocsr()
     s1_alpha = s1 @ alpha.values
-
-    # the right-hand sides can be tiny relative to their ingredients, and a
-    # purely rhs-relative stop would then demand sub-roundoff accuracy
-    scales = np.maximum(
-        _optimality_terms(np.abs(alpha.values), abs(P), abs(Q), disc.star1), np.finfo(float).tiny
-    )
-    floors = 100.0 * np.finfo(float).eps * scales
-    x_b, stats_b = _solve_block(P, s1, s1_alpha, tol, floors[0])
-    x_w, stats_w = _solve_block(Q, s1, s1_alpha, tol, floors[1])
-    beta = np.zeros(cx.num_vertices)
-    beta[vi] = x_b
-    omega = np.zeros(cx.num_faces)
-    omega[fi] = x_w
-
-    d_beta = Cochain(1, P @ x_b)
-    delta_omega = Cochain(1, Q @ x_w)
+    solved, solver = [], {}
+    for name, (interior, M) in _potential_maps(disc).items():
+        # the right-hand side can be tiny relative to its ingredients, and a
+        # purely rhs-relative stop would then demand sub-roundoff accuracy
+        scale = np.maximum(
+            np.linalg.norm(abs(M).T @ (disc.star1 * np.abs(alpha.values))), np.finfo(float).tiny
+        )
+        A = (M.T @ (s1 @ M).tocsc()).tocsr()
+        sol = dec.solve_spd(A, M.T @ s1_alpha, tol, residual_floor=100.0 * np.finfo(float).eps * scale)
+        solver[name] = {
+            "size": sol.x.size,
+            "nnz": A.nnz,
+            "levels": sol.levels,
+            "iterations": sol.iterations,
+            "residual": sol.residual,
+        }
+        solved.append((interior, M, scale, sol.x))
+    # scattered after both solves, so that no full-length vector of the vertex
+    # block is resident while the face block is solved
+    potentials, parts = [], []
+    for interior, M, _, x in solved:
+        potential = np.zeros(interior.size)
+        potential[interior] = x
+        potentials.append(potential)
+        parts.append(Cochain(1, M @ x))
+    (beta, omega), (d_beta, delta_omega) = potentials, parts
     gamma = Cochain(1, alpha.values - d_beta.values - delta_omega.values)
+    s1_gamma = disc.star1 * gamma.values
 
     norms_sq = [dec.inner(w, w, space, disc) for w in (d_beta, delta_omega, gamma)]
     ortho = [dec.inner(w, gamma, space, disc) for w in (d_beta, delta_omega)]
@@ -172,7 +158,7 @@ def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-
         "norm_coexact": float(np.ldexp(np.sqrt(max(norms_sq[1], 0.0)), e)),
         "norm_gamma": float(np.ldexp(np.sqrt(max(norms_sq[2], 0.0)), e)),
         "reconstruction_residual": float(
-            np.max(_optimality_terms(gamma.values, P, Q, disc.star1) / scales)
+            max(np.linalg.norm(M.T @ s1_gamma) / scale for _, M, scale, _ in solved)
         ),
         "orthogonality": {
             "exact_harmonic": float(np.ldexp(ortho[0], 2 * e)),
@@ -186,7 +172,7 @@ def decompose(alpha: Cochain, space: str, disc: Discretization, tol: float = 1e-
         omega=Cochain(2, np.ldexp(omega, e)),
         gamma=Cochain(1, np.ldexp(gamma.values, e)),
         diagnostics=diagnostics,
-        solver={"vertex": stats_b, "face": stats_w},
+        solver=solver,
     )
 
 
@@ -314,14 +300,14 @@ def truncation_distance(gamma: Cochain, radii, space: str, disc: Discretization)
     """Distances |gamma - phi_R gamma| in the chosen norm, one per scale R in radii.
 
     phi_R gamma multiplies each edge value by the mean of phi_R(v) =
-    cutoff_profile(rho(v) / R) at the edge endpoints. gamma and the scales are
-    checked once, before any distance: each R finite and above 1, with its
-    support scale 2R inside the meshed ball.
+    cutoff_profile(rho(v) / R) at the edge endpoints. gamma and the scales, any
+    iterable of real numbers, are checked once, before any distance: each R
+    finite and above 1, with its support scale 2R inside the meshed ball.
     """
     cx = disc.cx
     # the distances of gamma * 2**-e, scaled back by 2**e
     gamma, e, _ = _check_edge_values(gamma, disc, "truncation distance")
-    check_cutoff_scales(radii, disc.mesh)
+    radii = check_cutoff_scales(radii, disc.mesh)
     rho = radial_distance(disc.mesh.vertices, disc.mesh.curvature)
     dists = []
     for R in radii:

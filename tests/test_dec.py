@@ -365,9 +365,8 @@ class TestSolver:
 
 def potential_blocks(disc):
     """The vertex and face blocks that `decompose` solves."""
-    _, _, P, Q = hodge._potential_maps(disc)
     s1 = sp.diags(disc.star1)
-    return (P.T @ s1 @ P).tocsr(), (Q.T @ s1 @ Q).tocsr()
+    return tuple((M.T @ s1 @ M).tocsr() for _, M in hodge._potential_maps(disc).values())
 
 
 def with_index_dtype(A, dtype):

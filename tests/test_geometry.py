@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -341,11 +342,11 @@ class TestBallMeshLimits:
 
     def test_ring_sizes_at_the_cap(self):
         # flat rings hold round(2 pi i) vertices: 1 + sum over i <= n passes 1e6 at n = 564
-        flat = geometry._ring_sizes(0.0, 563.0, 1.0)
+        flat = geometry.ball_ring_sizes(0.0, 563.0, 1.0)
         assert 1 + sum(flat) <= geometry.MAX_VERTICES
         with pytest.raises(ConfigError):
-            geometry._ring_sizes(0.0, 564.0, 1.0)
-        assert geometry._ring_sizes(1.0, 0.4, 0.2) == [
+            geometry.ball_ring_sizes(0.0, 564.0, 1.0)
+        assert geometry.ball_ring_sizes(1.0, 0.4, 0.2) == [
             round(2 * math.pi * math.sinh(0.2) / 0.2), round(2 * math.pi * math.sinh(0.4) / 0.2)
         ]
 
@@ -436,6 +437,11 @@ class TestCutoff:
         gamma = Cochain(1, np.ones(disc.cx.num_edges))
         with pytest.raises(DomainError, match="finite"):
             hd.truncation_distance(gamma, [1.2, R], "l2", disc)
+
+    def test_scales_returned_as_floats_with_their_bits(self):
+        scales = hd.geometry.check_cutoff_scales(iter([np.float64(1.1), 2, Fraction(5, 2)]))
+        assert scales == [1.1, 2.0, 2.5]
+        assert all(type(R) is float for R in scales)
 
     def test_per_edge_slope_bound(self, discretize):
         # discrete form of the gradient bound |grad phi_R| <= 2/R, h <= R/10

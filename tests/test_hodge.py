@@ -7,7 +7,7 @@ import hodgedec as hd
 from hodgedec import dec
 from hodgedec.errors import ConfigError, DomainError, PreconditionError
 from hodgedec.forms import builtin_form, coordinate_form
-from hodgedec.hodge import _check_edge_values, _optimality_terms
+from hodgedec.hodge import _check_edge_values
 from hodgedec.simplicial import Cochain
 
 from conftest import counted
@@ -159,11 +159,15 @@ class TestDecompose:
         mesh, cx = disc.mesh, disc.cx
         alpha = builtin_form("mixed", mesh, cx, disc, seed=5)
         split = hd.decompose(alpha, "l2", disc)
-        _, _, P, Q = hd.hodge._potential_maps(disc)
-        scales = _optimality_terms(np.abs(alpha.values), abs(P), abs(Q), disc.star1)
+        maps = [M for _, M in hd.hodge._potential_maps(disc).values()]
 
         def residual(gamma):
-            return float(np.max(_optimality_terms(gamma, P, Q, disc.star1) / scales))
+            # the larger over the blocks of |M^T star1 gamma| / |(|M|^T star1 |alpha|)|
+            return max(
+                float(np.linalg.norm(M.T @ (disc.star1 * gamma)))
+                / float(np.linalg.norm(abs(M).T @ (disc.star1 * np.abs(alpha.values))))
+                for M in maps
+            )
 
         assert residual(split.gamma.values) == split.diagnostics["reconstruction_residual"] <= 1e-9
         bump = 1e-6 * np.abs(alpha.values).max()
@@ -171,6 +175,25 @@ class TestDecompose:
             gamma = split.gamma.values.copy()
             gamma[e] += bump
             assert residual(gamma) > 1e-8
+
+    def test_one_solve_per_block_vertex_first(self, discretize, monkeypatch):
+        # the benchmark counts dec.solve_spd calls and names each block by the
+        # length of b, its second positional argument
+        disc = discretize(1.0, 1.5, 0.15)
+        alpha = builtin_form("mixed", disc.mesh, disc.cx, disc, seed=5)
+        solve, sizes = dec.solve_spd, []
+
+        def recording(A, b, *args, **kwargs):
+            sizes.append(len(b))
+            return solve(A, b, *args, **kwargs)
+
+        monkeypatch.setattr(dec, "solve_spd", recording)
+        split = hd.decompose(alpha, "h1", disc)
+        want = [int(disc.cx.interior_vertices.sum()), int(disc.cx.interior_faces.sum())]
+        assert sizes == want
+        assert [(name, block["size"]) for name, block in split.solver.items()] == [
+            ("vertex", want[0]), ("face", want[1])
+        ]
 
     def test_gamma_interior_harmonic_by_optimality(self, discretize):
         disc = discretize(1.0, 1.5, 0.15)
@@ -522,6 +545,23 @@ class TestTruncation:
         monkeypatch.setattr(hd.geometry, "radial_distance", _no_work)
         with pytest.raises(DomainError, match="finite"):
             hd.truncation_distance(g, [R], "h1", disc)
+
+    @pytest.mark.parametrize(
+        "radii", [1.2, [], ["1.2"], [1.2, None]], ids=["scalar", "empty", "string", "none"]
+    )
+    def test_scales_that_are_not_real_numbers_rejected(self, discretize, monkeypatch, radii):
+        disc = discretize(1.0, 3.0, 0.3)
+        gamma = coordinate_form(disc.mesh, disc.cx)
+        monkeypatch.setattr(hd.geometry, "radial_distance", _no_work)
+        with pytest.raises(ConfigError, match="cutoff scale"):
+            hd.truncation_distance(gamma, radii, "l2", disc)
+
+    def test_scales_read_once_from_a_generator(self, discretize):
+        disc = discretize(1.0, 3.0, 0.3)
+        gamma = coordinate_form(disc.mesh, disc.cx)
+        want = hd.truncation_distance(gamma, [1.2, 1.4], "l2", disc)
+        assert len(want) == 2
+        assert hd.truncation_distance(gamma, (R for R in [1.2, 1.4]), "l2", disc) == want
 
     def test_distances_decrease_and_bracket_tail_mass(self, discretize):
         disc = discretize(1.0, 6.0, 0.2)

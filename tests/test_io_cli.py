@@ -337,9 +337,8 @@ class TestCli:
             "vertex": int(disc.cx.interior_vertices.sum()),
             "face": int(disc.cx.interior_faces.sum()),
         }
-        _, _, P, Q = hodge._potential_maps(disc)
         s1 = sp.diags(disc.star1)
-        nnz = {"vertex": (P.T @ s1 @ P).tocsr().nnz, "face": (Q.T @ s1 @ Q).tocsr().nnz}
+        nnz = {name: (M.T @ s1 @ M).tocsr().nnz for name, (_, M) in hodge._potential_maps(disc).items()}
         reports = {}
         for form in ("mixed", "dx", "mixed"):
             path = tmp_path / "split.json"
@@ -540,10 +539,11 @@ class TestRunParameters:
         assert not out.exists()
 
     @pytest.mark.parametrize("radii", ["", ","])
-    def test_truncate_needs_a_radius(self, small_mesh, tmp_path, radii):
+    def test_truncate_needs_a_radius(self, small_mesh, tmp_path, capsys, radii):
         out = tmp_path / "trunc.json"
         assert main(["truncate", f"--radii={radii}", "--mesh", str(small_mesh[3]),
                      "--out", str(out)]) == 1
+        assert "cutoff scale" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("radii", ["nan", "inf", "1.5,nan"])
