@@ -69,18 +69,11 @@ def builtin_form(
         raise ConfigError("builtin_form: the complex is not the discretization's (disc.cx)")
     if name not in BUILTIN_FORMS:
         raise ConfigError(f"unknown builtin form {name!r}; choose from {BUILTIN_FORMS}")
-    if name == "dx":
-        return coordinate_form(mesh, cx)
-    beta0, omega0 = _random_interior_potentials(cx, seed)
-    if name == "exact":
-        return apply_d(beta0, cx)
-    if name == "coexact":
-        return dec.codifferential(omega0, disc)
-    total = np.zeros(cx.num_edges)
-    for part in (
-        coordinate_form(mesh, cx),
-        apply_d(beta0, cx),
-        dec.codifferential(omega0, disc),
-    ):
-        total += part.values / dec.norm(part, "l2", disc)
-    return Cochain(1, total)
+    parts = {"dx": coordinate_form(mesh, cx)}
+    if name != "dx":
+        beta0, omega0 = _random_interior_potentials(cx, seed)
+        parts["exact"] = apply_d(beta0, cx)
+        parts["coexact"] = dec.codifferential(omega0, disc)
+    if name != "mixed":
+        return parts[name]
+    return Cochain(1, sum(part.values / dec.norm(part, "l2", disc) for part in parts.values()))

@@ -224,13 +224,13 @@ def stream_function(v: Cochain, disc: Discretization, tol: float = 1e-10) -> Str
     """Reconstruct a co-closed interior 1-cochain as delta of a 2-cochain.
 
     Integrates star1 * v over a breadth-first spanning tree of the dual graph
-    rooted at the lowest-index boundary-adjacent face, as one lower-triangular
-    solve in visit order, so the stream values f vanish on faces touching the
-    boundary; omega = f * area gives star2 omega = f and delta omega = v.
-    Closure on the remaining dual edges is verified (path independence), as
-    is the final reconstruction. `tol`,
-    in (0, 1), bounds the collar values and the co-closedness defect relative
-    to the input, and 100 tol the closure defect.
+    rooted at the lowest-index boundary-adjacent face, walked level by level
+    with each face's edges in d1's row order, so the stream values f vanish
+    on faces touching the boundary; omega = f * area gives star2 omega = f
+    and delta omega = v. Closure on the remaining dual edges is verified (path
+    independence), as is the final reconstruction. `tol`, in (0, 1), bounds
+    the collar values and the co-closedness defect relative to the input, and
+    100 tol the closure defect.
     """
     if not 0.0 < tol < 1.0:
         raise ConfigError(f"stream tolerance must lie in (0, 1), got {tol!r}")
@@ -254,32 +254,35 @@ def stream_function(v: Cochain, disc: Discretization, tol: float = 1e-10) -> Str
             f"{float(rel_int[worst_local]):.3e} (divergence {float(np.ldexp(resid[worst], e)):.3e})"
         )
 
-    # imported here: scipy.sparse.csgraph loads scipy.sparse.linalg, about 11 MB
-    # of resident memory that commands without a stream function do not need
-    from scipy.sparse import csgraph
-    from scipy.sparse.linalg import spsolve_triangular
-
     w = disc.star1 * v.values
-    # the dual graph links the two faces of every edge that has two
-    links = edge_faces(cx.face_edges, cx.num_edges)
-    linked = np.flatnonzero(links[:, 1] >= 0)
-    fa, fb = links[linked, 0], links[linked, 1]
-    dual = sp.csr_matrix((np.ones(linked.size), (fa, fb)), shape=(cx.num_faces,) * 2)
-
-    boundary_adjacent = np.flatnonzero(~cx.interior_faces)
-    root = int(boundary_adjacent[0]) if boundary_adjacent.size else 0
-    # build_complex has checked that the dual graph is connected, so the tree spans it
-    order, parent = csgraph.breadth_first_order(dual, root, directed=False)
-    # tree edge e joining parent p to child c: s_p f[p] + s_c f[c] = w[e], one
-    # row per child; in BFS order every parent precedes its child
-    tree = (parent[fb] == fa) | (parent[fa] == fb)
-    via = np.empty(cx.num_faces, dtype=np.int64)  # the tree edge from each face's parent
-    via[np.where(parent[fb] == fa, fb, fa)[tree]] = linked[tree]
-    rows = via[order[1:]]
-    root_row = sp.csr_matrix(([1.0], ([0], [root])), shape=(1, cx.num_faces))
-    lower = sp.vstack([root_row, cx.d1.T.tocsr()[rows]], format="csr")[:, order]
-    f = np.empty(cx.num_faces)
-    f[order] = spsolve_triangular(lower, np.r_[0.0, w[rows]], lower=True)
+    num_f = cx.num_faces
+    # each face's three edges and their incidence signs, in d1's row order
+    edges3 = cx.d1.indices.reshape(num_f, 3)
+    signs3 = cx.d1.data.reshape(num_f, 3)
+    # the face across edge k from face p is across[k] - p: -1 on the boundary
+    across = edge_faces(cx.face_edges, cx.num_edges).sum(axis=1)
+    root = int(np.flatnonzero(~cx.interior_faces)[0])
+    # a newly reached face q solves s_p f[p] + s_q f[q] = w[k] for the first face p,
+    # in queue order, that reaches it across edge k; build_complex has checked
+    # that the walk reaches every face
+    f = np.zeros(num_f)
+    unset = 3 * num_f
+    first = np.full(num_f, unset)  # where in its level's candidates a face is first reached
+    first[root] = 0
+    level = np.array([root])
+    while level.size:
+        p = np.repeat(level, 3)
+        k = edges3[level].reshape(-1)
+        s_p = signs3[level].reshape(-1)
+        q = across[k] - p
+        new = np.flatnonzero(q >= 0)
+        new = new[first[q[new]] == unset]
+        np.minimum.at(first, q[new], new)
+        new = new[first[q[new]] == new]
+        p, k, s_p, q = p[new], k[new], s_p[new], q[new]
+        s_q = signs3[q][edges3[q] == k[:, None]]
+        f[q] = s_q * (w[k] - s_p * f[p])
+        level = q
 
     closure = cx.d1.T @ f - w
     defect_scale = max(vmax * float(disc.star1.max()), float(np.abs(f).max()))

@@ -373,7 +373,22 @@ class TestStreamFunction:
         v = builtin_form("coexact", mesh, cx, disc, seed=4)
         f = hd.stream_function(v, disc).f
         ref = reference_stream_values(v, disc)
-        assert np.abs(f - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.array_equal(f, ref)
+
+    def test_clockwise_faces_match_reference_walk(self, discretize):
+        # a clockwise face beside a counterclockwise one has the same d1 sign
+        # on their shared edge, so the walk must read both signs
+        ball = discretize(1.0, 1.5, 0.15)
+        mesh = ball.mesh
+        T = np.array(mesh.triangles)
+        turned = np.flatnonzero(ball.cx.interior_faces)[::3]
+        T[turned] = T[turned][:, [0, 2, 1]]
+        disc = hd.discretize(hd.TriMesh(mesh.vertices, T, mesh.curvature))
+        assert np.any(np.abs(disc.cx.d1.sum(axis=0)) == 2)
+        v = builtin_form("coexact", disc.mesh, disc.cx, disc, seed=4)
+        res = hd.stream_function(v, disc)
+        assert np.array_equal(res.f, reference_stream_values(v, disc))
+        assert res.residual < 1e-12
 
 
 def reference_stream_values(v, disc):

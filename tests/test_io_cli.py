@@ -942,7 +942,7 @@ def _mesh_argv(params, out):
 
 
 def test_cli_import_leaves_scipy_graph_and_solver_modules_unloaded():
-    # each costs resident memory in every command, so only stream_function imports them
+    # each costs resident memory, and no command needs them
     src = str(Path(hd.__file__).resolve().parent.parent)
     probe = ("import sys, hodgedec.cli; "
              "print([m for m in ('scipy.sparse.csgraph', 'scipy.sparse.linalg') if m in sys.modules])")
@@ -951,8 +951,8 @@ def test_cli_import_leaves_scipy_graph_and_solver_modules_unloaded():
     assert done.stdout.strip() == "[]"
 
 
-def test_commands_without_stream_leave_scipy_graph_and_solver_modules_unloaded(tmp_path):
-    # about 9 MB of resident memory each; only `stream` needs them
+def test_commands_leave_scipy_graph_and_solver_modules_unloaded(tmp_path):
+    # about 9 MB of resident memory each; no command needs them
     src = str(Path(hd.__file__).resolve().parent.parent)
     probe = """
 import sys
@@ -963,6 +963,9 @@ for argv in (
     ["truncate", "--radii", "1.2,1.5", "--mesh", out + "/ball.json", "--out", out + "/t.json"],
     ["verify-tensor", "--max-dim", "3", "--trials", "1", "--out", out + "/v.json"],
     ["decompose", "--mesh", out + "/ball.json", "--form", "builtin:mixed", "--out", out + "/d.json"],
+    ["stream", "--mesh", out + "/ball.json", "--form", "builtin:coexact", "--out", out + "/s.json"],
+    ["convergence", "--curvature", "1", "--radius", "1.5", "--edge", "0.3", "--levels", "1",
+     "--out", out + "/c.csv"],
 ):
     assert main(argv) == 0, argv
 print([m for m in ("scipy.sparse.csgraph", "scipy.sparse.linalg") if m in sys.modules])
@@ -970,7 +973,8 @@ print([m for m in ("scipy.sparse.csgraph", "scipy.sparse.linalg") if m in sys.mo
     done = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], capture_output=True,
                           text=True, env={"PYTHONPATH": src}, timeout=120, check=True)
     assert done.stdout.strip().splitlines()[-1] == "[]"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ball.json", "d.json", "t.json", "v.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "ball.json", "c.csv", "d.json", "s.json", "t.json", "v.json"]
 
 
 @pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(hd.__path__)))
