@@ -1,10 +1,11 @@
 """Batch command line: mesh generation, decomposition runs, stream functions,
 exact tensor verification, convergence studies, and truncation experiments.
 
-Every run is fully determined by its command line and input files. With
---deterministic, reports omit wall-clock timings so identical runs produce
-byte-identical output. Exit codes: 0 success, 1 validation error,
-2 numerical non-convergence.
+Every run is fully determined by its command line and input files. A command
+returns its exit code and its report; main alone stamps the report with the
+command line and, without --deterministic, the wall-clock seconds, and writes
+it to --out. A failed run writes no report; deterministic runs repeat byte for
+byte. Exit codes: 0 success, 1 validation error, 2 numerical non-convergence.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--deterministic", action="store_true",
                        help="omit timings so reports are byte-identical across runs")
-        p.add_argument("--seed", type=int, default=0, help="seed for builtin forms")
+        p.add_argument("--seed", type=int, default=0,
+                       help="seed for builtin forms and tensor contexts")
 
     p = sub.add_parser("mesh", help="generate a geodesic ball mesh")
     p.add_argument("--curvature", type=float, required=True)
@@ -64,9 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-tensor", help="exact curvature-identity suite")
     p.add_argument("--max-dim", type=int, default=5)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
-    p.add_argument("--deterministic", action="store_true")
+    add_common(p)
 
     p = sub.add_parser("convergence", help="refinement study, CSV output")
     p.add_argument("--curvature", type=float, required=True)
@@ -97,88 +98,66 @@ def _load_form(name: str, disc: dec.Discretization, seed: int, checksum: str | N
     return io.load_cochain(name, checksum or io.mesh_checksum(disc.mesh))
 
 
-def _base_report(args, checksum: str) -> dict:
-    return {"command": " ".join(args._echo), "mesh_checksum": checksum}
-
-
-def _finish(report: dict, args, t0: float, out):
-    if not args.deterministic:
-        report["wall_clock_seconds"] = time.time() - t0
-    if out is not None:
-        io.save_json(report, out)
-
-
-def _cmd_mesh(args) -> int:
+def _cmd_mesh(args):
     mesh = ball_mesh(args.curvature, args.radius, args.edge)
     io.save_mesh(mesh, args.out)
     print(f"mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles -> {args.out}")
-    return 0
+    return 0, None
 
 
-def _cmd_decompose(args) -> int:
-    t0 = time.time()
+def _cmd_decompose(args):
     disc = dec.discretize(io.load_mesh(args.mesh))
     checksum = io.mesh_checksum(disc.mesh)
     alpha = _load_form(args.form, disc, args.seed, checksum)
     split = hodge.decompose(alpha, args.space, disc, tol=args.tol)
-    report = _base_report(args, checksum)
-    report.update(
-        {
-            "space": args.space,
-            "star_clamp_count": disc.clamp_count,
-            "beta": split.beta.values,
-            "omega": split.omega.values,
-            "gamma": split.gamma.values,
-            "diagnostics": split.diagnostics,
-            "harmonic": hodge.harmonic_diagnostics(split.gamma, disc),
-            "solver": split.solver,
-        }
-    )
-    _finish(report, args, t0, args.out)
+    report = {
+        "mesh_checksum": checksum,
+        "space": args.space,
+        "star_clamp_count": disc.clamp_count,
+        "beta": split.beta.values,
+        "omega": split.omega.values,
+        "gamma": split.gamma.values,
+        "diagnostics": split.diagnostics,
+        "harmonic": hodge.harmonic_diagnostics(split.gamma, disc),
+        "solver": split.solver,
+    }
     d = split.diagnostics
     print(
         f"decompose[{args.space}]: |exact|={d['norm_exact']:.6g} |coexact|={d['norm_coexact']:.6g} "
         f"|harmonic|={d['norm_gamma']:.6g} recon={d['reconstruction_residual']:.2e}"
     )
-    return 0
+    return 0, report
 
 
-def _cmd_stream(args) -> int:
-    t0 = time.time()
+def _cmd_stream(args):
     disc = dec.discretize(io.load_mesh(args.mesh))
     checksum = io.mesh_checksum(disc.mesh)
     v = _load_form(args.form, disc, args.seed, checksum)
     result = hodge.stream_function(v, disc, tol=args.tol)
-    report = _base_report(args, checksum)
-    report.update(
-        {
-            "f": result.f,
-            "omega": result.omega.values,
-            "residual": result.residual,
-            "path_defect": result.path_defect,
-        }
-    )
-    _finish(report, args, t0, args.out)
     print(f"stream: residual={result.residual:.2e} path_defect={result.path_defect:.2e}")
-    return 0
+    return 0, {
+        "mesh_checksum": checksum,
+        "f": result.f,
+        "omega": result.omega.values,
+        "residual": result.residual,
+        "path_defect": result.path_defect,
+    }
 
 
-def _cmd_verify_tensor(args) -> int:
-    t0 = time.time()
+def _cmd_verify_tensor(args):
     report = weitzenbock.run_verification(args.max_dim, args.trials, args.seed)
-    _finish(report, args, t0, args.out)
     for r in report["results"]:
         status = "pass" if r["passed"] else "FAIL"
         print(f"N={r['N']} k={r['k']}: {r['trials']} trials {status} "
               f"(star sign {r['star_sign']:+d})")
     print("note:", report["note"])
-    if not report["all_passed"]:
+    failed = not report["all_passed"]
+    if failed:
         print("verification FAILED", file=sys.stderr)
-        return 1
-    return 0
+    return int(failed), report
 
 
-def _cmd_convergence(args) -> int:
+def _cmd_convergence(args):
     t0 = time.time()
     if args.levels < 1:
         raise ConfigError("--levels must be at least 1")
@@ -219,11 +198,10 @@ def _cmd_convergence(args) -> int:
     Path(args.out).write_text("\n".join(lines) + "\n")
     if not args.deterministic:
         print(f"wrote {args.out} in {time.time() - t0:.1f}s")
-    return 0
+    return 0, None
 
 
-def _cmd_truncate(args) -> int:
-    t0 = time.time()
+def _cmd_truncate(args):
     radii = check_cutoff_scales(float(r) for r in args.radii.split(",") if r)
     mesh = io.load_mesh(args.mesh)
     check_cutoff_scales(radii, mesh)
@@ -234,10 +212,7 @@ def _cmd_truncate(args) -> int:
     for R, dist in zip(radii, hodge.truncation_distance(gamma, radii, args.space, disc)):
         tbl.append({"R": R, "distance": dist})
         print(f"R={R}: |gamma - phi_R gamma| = {dist:.6g}")
-    report = _base_report(args, checksum)
-    report.update({"space": args.space, "distances": tbl})
-    _finish(report, args, t0, args.out)
-    return 0
+    return 0, {"mesh_checksum": checksum, "space": args.space, "distances": tbl}
 
 
 def _check_out(out) -> None:
@@ -273,10 +248,17 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
-    args._echo = ["hodgedec"] + argv
+    t0 = time.time()
     try:
         _check_out(args.out)
-        return _COMMANDS[args.command](args)
+        code, report = _COMMANDS[args.command](args)
+        if report is not None:
+            report["command"] = " ".join(["hodgedec"] + argv)
+            if not args.deterministic:
+                report["wall_clock_seconds"] = time.time() - t0
+            if args.out is not None:
+                io.save_json(report, args.out)
+        return code
     except ConvergenceError as err:
         print(f"numerical non-convergence: {err}", file=sys.stderr)
         return 2

@@ -29,11 +29,11 @@ def coordinate_form(mesh: TriMesh, cx: SimplicialComplex) -> Cochain:
     return Cochain(1, x[cx.edges[:, 1]] - x[cx.edges[:, 0]])
 
 
-def _adjacency_smooth(values, adjacency, keep, sweeps=8):
+def _adjacency_smooth(values, adjacency, keep):
     """Damped neighbor averaging; keeps the field supported on `keep`."""
     deg = np.maximum(adjacency @ np.ones_like(values), 1.0)
     out = values.copy()
-    for _ in range(sweeps):
+    for _ in range(8):
         out = 0.5 * out + 0.5 * (adjacency @ out) / deg
         out[~keep] = 0.0
     return out

@@ -101,7 +101,7 @@ def _perm_sign(t: tuple[int, ...]) -> int:
     return sign
 
 
-def antisymmetrize(n_dim: int, components: dict[tuple[int, ...], Fraction]) -> dict:
+def antisymmetrize(components: dict[tuple[int, ...], Fraction]) -> dict:
     """Spread components given on increasing index tuples to all permutations."""
     out: dict[tuple[int, ...], Fraction] = {}
     for idx, val in components.items():
@@ -114,9 +114,9 @@ def antisymmetrize(n_dim: int, components: dict[tuple[int, ...], Fraction]) -> d
     return out
 
 
-def is_antisymmetric(alpha: dict, n_dim: int, k: int) -> bool:
+def is_antisymmetric(alpha: dict, k: int) -> bool:
     """Exact transposition scan over the stored entries of a tensor keyed by
-    k indices in range(n_dim).
+    k indices.
 
     Each nonzero entry must have the negated value at every adjacent swap.
     That rules out a nonzero entry with a repeated index too: adjacent swaps
@@ -166,7 +166,7 @@ def make_context(n_dim, degree, metric, curvature, alpha) -> RationalTensorConte
                 and all(isinstance(i, int) and 0 <= i < n_dim for i in key)):
             raise PreconditionError(f"alpha key {key!r} is not {degree} indices in range({n_dim})")
     alpha = {key: f for key, v in alpha.items() if (f := Fraction(v)) != 0}
-    if not is_antisymmetric(alpha, n_dim, degree):
+    if not is_antisymmetric(alpha, degree):
         raise PreconditionError("alpha fails the exact antisymmetry scan")
     return RationalTensorContext(
         n_dim=n_dim,
@@ -189,7 +189,7 @@ def random_context(n_dim: int, degree: int, rng: random.Random) -> RationalTenso
         idx: Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         for idx in itertools.combinations(r, degree)
     }
-    return make_context(n_dim, degree, g, -a * a, antisymmetrize(n_dim, comps))
+    return make_context(n_dim, degree, g, -a * a, antisymmetrize(comps))
 
 
 def _riemann(g, K) -> dict:
@@ -283,9 +283,9 @@ def weitzenbock_sums(ctx: RationalTensorContext, R: dict) -> dict:
     totals; for constant curvature K they equal expected_weitzenbock_multiple(ctx)
     times alpha, exactly.
     """
-    n, k = ctx.n_dim, ctx.degree
+    k = ctx.degree
     d_a, alpha = _cleared(ctx.alpha)
-    if not is_antisymmetric(alpha, n, k):
+    if not is_antisymmetric(alpha, k):
         raise PreconditionError("alpha fails the exact antisymmetry scan")
     # with g^-1 = A / e and R = Ri / d_r, R^h_j and R^{h i}_{b c} carry 1 / (e^2 d_r)
     d_r, Ri = _cleared(R)

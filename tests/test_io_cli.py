@@ -25,8 +25,9 @@ from hodgedec.simplicial import Cochain
 
 from conftest import counted, make_lattice_mesh, make_triangle_beside_torus, unreachable_placement
 
-# sha256 of the report of `verify-tensor --max-dim 5 --trials 2 --seed 7 --deterministic`,
-# re-dumped with indent 2: the suite is exact, so its report is the same everywhere
+# sha256 of the report of `verify-tensor --max-dim 5 --trials 2 --seed 7 --deterministic`
+# without its `command` key, re-dumped with indent 2: the suite is exact, so its report
+# is the same everywhere
 VERIFY_TENSOR_SHA256 = "de1adc7f0a8e83c78129c82d7f85768e7c08cbc04adab2b2b3e2c351885b5e81"
 
 
@@ -204,9 +205,12 @@ class TestCli:
 
     def test_verify_tensor_report_is_pinned(self, tmp_path):
         out = tmp_path / "verify.json"
-        assert main(["verify-tensor", "--max-dim", "5", "--trials", "2", "--seed", "7",
-                     "--deterministic", "--out", str(out)]) == 0
-        text = json.dumps(json.loads(out.read_text()), sort_keys=True, indent=2, allow_nan=False)
+        argv = ["verify-tensor", "--max-dim", "5", "--trials", "2", "--seed", "7",
+                "--deterministic", "--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        assert report.pop("command") == "hodgedec " + " ".join(argv)
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
         assert hashlib.sha256((text + "\n").encode()).hexdigest() == VERIFY_TENSOR_SHA256
 
     @pytest.mark.parametrize("space", ["l2", "h1"])
@@ -374,6 +378,46 @@ class TestCli:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
         assert b"wall_clock" not in outs[0]
+
+    @pytest.mark.parametrize("deterministic", [False, True], ids=["timed", "deterministic"])
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--form", "builtin:mixed"],
+        ["stream", "--form", "builtin:coexact"],
+        ["truncate", "--radii", "1.2"],
+        ["verify-tensor", "--max-dim", "3", "--trials", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_main_stamps_every_report(self, discretize, tmp_path, argv, deterministic):
+        # every report names its command line and is timed exactly when not
+        # deterministic; a report of a mesh carries that mesh's checksum
+        mesh_path, out = tmp_path / "ball.json", tmp_path / "report.json"
+        if argv[0] != "verify-tensor":
+            io.save_mesh(discretize(1.0, 3.0, 0.3).mesh, mesh_path)
+            argv = argv + ["--mesh", str(mesh_path)]
+        argv = argv + ["--deterministic"] * deterministic + ["--out", str(out)]
+        assert main(argv) == 0
+        report = json.loads(out.read_text())
+        assert report["command"] == "hodgedec " + " ".join(argv)
+        if argv[0] != "verify-tensor":
+            assert report["mesh_checksum"] == io.mesh_checksum(io.load_mesh(mesh_path))
+        if deterministic:
+            assert "wall_clock_seconds" not in report
+        else:
+            seconds = report["wall_clock_seconds"]
+            assert type(seconds) is float and math.isfinite(seconds) and seconds >= 0.0
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose", "--mesh", "ball.json", "--form", "builtin:mixed"],
+        ["convergence", "--curvature", "1", "--radius", "1", "--levels", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_non_convergence_exits_2_and_writes_nothing(
+        self, discretize, tmp_path, monkeypatch, capsys, argv
+    ):
+        io.save_mesh(discretize(1.0, 1.0, 0.2).mesh, tmp_path / "ball.json")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(dec, "MAX_CG_ITERATIONS", 1)
+        assert main(argv + ["--out", "out.json"]) == 2
+        assert capsys.readouterr().err.startswith("numerical non-convergence:")
+        assert not (tmp_path / "out.json").exists()
 
     def test_mesh_output_is_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
