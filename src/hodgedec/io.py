@@ -10,9 +10,11 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import ChecksumError, ConfigError
 from .geometry import TriMesh
@@ -48,24 +50,66 @@ def mesh_checksum(mesh: TriMesh) -> str:
 
 
 _NOT_FINITE = "a value is not finite (NaN or infinity)"
-_NUMBER_FORMATS = {np.dtype(np.float64): "%r", np.dtype(np.int64): "%d"}
+_ARRAY_DTYPES = (np.dtype(np.float64), np.dtype(np.int64))
+_FIXED_BAND = re.compile(rb"0\.0000([1-9])(\d*)")
+
+
+def _band_repr(match: re.Match) -> bytes:
+    """repr's d.ddde-05 for Ryū's 0.0000ddd, unless the match is the tail of a
+    longer number such as 10.00001 (the text starts with "[", so start() > 0)."""
+    if match.string[match.start() - 1] in b"0123456789":
+        return match[0]
+    head, tail = match.groups()
+    return head + b"." + tail + b"e-05" if tail else head + b"e-05"
+
+
+def _repr_exponents(text: bytes) -> bytes:
+    """Ryū's exponents as repr writes them: a one-digit negative exponent gets
+    a 0, e-7 -> e-07, and a positive one a +, e16 -> e+16. One insertion pass
+    over the bytes serves every exponent, where fixed bytes.replace passes
+    (e-6 to e-9, each before "," and "]") would rescan the text eight times.
+    An e is followed by its sign or digits and then by at least the "," or
+    "]" after the number, so e + 3 is inside the text."""
+    buf = np.frombuffer(text, np.uint8)
+    e = np.flatnonzero(buf == ord("e"))
+    negative = buf[e + 1] == ord("-")
+    one_digit = negative & np.isin(buf[e + 3], np.frombuffer(b",]", np.uint8))
+    zeros, pluses = e[one_digit] + 2, e[~negative] + 1
+    at = np.concatenate([zeros, pluses])
+    fill = np.repeat(np.frombuffer(b"0+", np.uint8), [len(zeros), len(pluses)])
+    return np.insert(buf, at, fill).tobytes()
 
 
 def _array_text(a: np.ndarray) -> str:
     """The text of json.dumps(a.tolist()) for a 1-D or 2-D float64 or int64
-    array: one row template, "[%r, %r]" say, repeated and applied to the flat
-    values at once, so that no Python list is built per row. `%r` of a float
-    and `%d` of an int are the digits json writes for them."""
-    spec = _NUMBER_FORMATS.get(a.dtype)
-    if spec is None or a.ndim not in (1, 2):
+    array.
+
+    The digits come from orjson, which writes each float with Ryū's shortest
+    round-trip digits (Adams 2018), the digits of repr, and each int as json
+    does. Only the notation differs, and three rewrites make it json's:
+    1. orjson separates with "," and json with ", ";
+    2. Ryū writes 1e-5 <= |x| < 1e-4 as 0.0000ddd, repr as d.ddde-05;
+    3. Ryū writes exponents bare, e-7 and e16, repr as e-07 and e+16; only
+       1e-9 <= |x| < 1e-5 and |x| >= 1e16 have such exponents.
+    Rewrites 2 and 3 run only when |x| falls in their band for some x, so an
+    array with no such value pays three masks of |x| and no pass over the
+    text; an int64 array takes rewrite 1 alone. The finiteness check comes
+    first because orjson writes NaN and inf as null.
+    """
+    if a.dtype not in _ARRAY_DTYPES or a.ndim not in (1, 2):
         raise TypeError(f"cannot write a {a.ndim}-D {a.dtype} array; "
                         "save_json takes 1-D or 2-D float64 or int64 arrays")
-    if spec == "%r" and not np.isfinite(a).all():
+    if a.dtype == np.float64 and not np.isfinite(a).all():
         raise ValueError(_NOT_FINITE)
-    row = ", ".join([spec] * a.shape[-1])
-    if a.ndim == 2:
-        row = ", ".join(["[" + row + "]"] * a.shape[0])
-    return ("[" + row + "]") % tuple(a.ravel().tolist())
+    text = orjson.dumps(np.ascontiguousarray(a), option=orjson.OPT_SERIALIZE_NUMPY)
+    text = text.replace(b",", b", ")
+    if a.dtype == np.float64:
+        magnitude = np.abs(a)
+        if ((magnitude >= 1e-5) & (magnitude < 1e-4)).any():
+            text = _FIXED_BAND.sub(_band_repr, text)
+        if ((magnitude >= 1e-9) & (magnitude < 1e-5)).any() or (magnitude >= 1e16).any():
+            text = _repr_exponents(text)
+    return text.decode()
 
 
 def save_json(obj: dict, path) -> None:
@@ -76,9 +120,11 @@ def save_json(obj: dict, path) -> None:
     The bytes are those of json.dumps(obj, sort_keys=True, allow_nan=False)
     followed by a newline, with each top-level numpy array (1-D or 2-D,
     float64 or int64) written as its tolist() would be: one line, from json's
-    C encoder and `_array_text`. The value of each key is written as its own
-    piece, never joined into one text, which keeps the peak memory of a large
-    report down.
+    C encoder and `_array_text`, whose digits are orjson's shortest round-trip
+    digits, those of repr, put into json's notation by byte rewrites that run
+    only for the arrays that need them. The value of each key is written as
+    its own piece, never joined into one text, which keeps the peak memory of
+    a large report down.
     """
     encode = json.JSONEncoder(sort_keys=True, allow_nan=False).encode
     try:

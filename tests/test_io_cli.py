@@ -884,6 +884,82 @@ class TestSaveJsonArrays:
         assert not out.exists()
 
 
+def _assert_written_as_list(path, a):
+    """`_array_text(a)`, and `save_json` of a dict holding a, give the bytes of
+    json.dumps of a.tolist()."""
+    expected = json.dumps(a.tolist())
+    assert io._array_text(a) == expected
+    io.save_json({"a": a}, path)
+    assert path.read_bytes() == ('{"a": ' + expected + "}\n").encode()
+
+
+_MANTISSAS = ("1", "1.5", "2.5", "3.374932751386761", "5", "7.25", "9.999999999999999")
+# |x| where the notation of the shortest digits changes
+_NOTATION_BOUNDARIES = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e16)
+
+
+class TestArrayTextNotation:
+    """Each array below reaches one notation rewrite, or none, on its own, so a
+    rewrite whose gate misses a band shows as a wrong byte."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_one_array_per_decade(self, tmp_path, sign):
+        for exponent in range(-324, 309):
+            a = sign * np.array([float(f"{m}e{exponent}") for m in _MANTISSAS])
+            a = a[np.isfinite(a) & (a != 0)]
+            _assert_written_as_list(tmp_path / "a.json", a)
+
+    @pytest.mark.parametrize("boundary", _NOTATION_BOUNDARIES)
+    def test_each_boundary_alone_and_beside_its_neighbours(self, tmp_path, boundary):
+        below, above = np.nextafter(boundary, 0.0), np.nextafter(boundary, np.inf)
+        for sign in (1.0, -1.0):
+            for values in ([below], [boundary], [above], [below, boundary, above]):
+                a = sign * np.array(values)
+                _assert_written_as_list(tmp_path / "a.json", a)
+                _assert_written_as_list(tmp_path / "a.json", a.reshape(-1, 1))
+
+    @pytest.mark.parametrize("band", [1e-5, 3.374932751386761e-05, -9.999999999999999e-05])
+    def test_band_value_after_a_longer_number_with_the_same_tail(self, tmp_path, band):
+        for values in ([10.00001, band], [band, 10.00001, -10.00003374932751386761, band]):
+            _assert_written_as_list(tmp_path / "a.json", np.array(values))
+        _assert_written_as_list(tmp_path / "a.json", np.array([[10.00001, band], [band, 100.00002]]))
+
+    def test_random_bit_patterns(self):
+        # `_array_text` alone: json.dumps of these 10**6 floats takes most of the time
+        bits = np.random.default_rng(20180).integers(0, 2**64, 1_010_000, dtype=np.uint64, endpoint=False)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)][:1_000_000]
+        assert values.size == 1_000_000
+        for a in (values[:600_000], values[600_000:].reshape(-1, 2)):
+            assert io._array_text(a) == json.dumps(a.tolist())
+
+
+_LAYOUT_BASES = {
+    "float64": np.array([[1.5, -3.374932751386761e-05, 1e16, 2.5e-7],
+                         [-0.0, 10.00001, 5e-324, -1.7976931348623157e308],
+                         [0.1, 1e-10, -7e-6, 123456.789],
+                         [9.999999999999999e-05, 1e-4, -1e22, 2.0],
+                         [3.0, -4.0, 1e-300, 6e-9],
+                         [0.5, 0.25, -0.125, 1e15]]),
+    "int64": np.arange(-12, 12, dtype=np.int64).reshape(6, 4) * (2**59 // 12),
+}
+
+
+class TestArrayTextLayouts:
+    @pytest.mark.parametrize("layout", [
+        lambda a: a[::2], lambda a: a.ravel()[::3], lambda a: a.T, np.asfortranarray,
+    ], ids=["strided", "strided-1-D", "transposed", "fortran"])
+    @pytest.mark.parametrize("dtype", sorted(_LAYOUT_BASES))
+    def test_a_view_writes_its_c_ordered_copy(self, tmp_path, layout, dtype):
+        view = layout(_LAYOUT_BASES[dtype])
+        copy = np.ascontiguousarray(view)
+        assert not view.flags.c_contiguous and copy.flags.c_contiguous
+        io.save_json({"a": view}, tmp_path / "view.json")
+        io.save_json({"a": copy}, tmp_path / "copy.json")
+        assert io._array_text(view) == io._array_text(copy) == json.dumps(copy.tolist())
+        assert (tmp_path / "view.json").read_bytes() == (tmp_path / "copy.json").read_bytes()
+
+
 class TestLoadJson:
     @pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
     @pytest.mark.parametrize("text", ['{"a": [[1, 2.5]]}', '{"a": [[1, 2.5]'], ids=["valid", "truncated"])
